@@ -12,15 +12,20 @@ simulation.
 """
 
 from .adjacency import AdjacencyTable, confidence_width
-from .bench import CorpusSpec, LosslessnessError, RunReport, ablation_table, run_corpus
+from .bench import (
+    CorpusSpec,
+    LosslessnessError,
+    RunReport,
+    ablation_table,
+    measure_heterogeneity,
+    run_corpus,
+)
 from .context import ContextIndex, MatchResult, context_match
 from .engine import (
     DecodeStats,
     EmaState,
     EngineConfig,
-    baseline_decode,
     decode,
-    spine_decode,
     spine_ratio_tier,
     update_ema,
 )
@@ -45,7 +50,6 @@ from .theory import (
     dominance_scan,
     ell_bar,
     iso_yield,
-    measure_heterogeneity,
     monte_carlo_yield,
     phi,
     spine_shape_tree,

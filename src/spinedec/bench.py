@@ -4,18 +4,25 @@ A corpus is a seeded model spec plus prompt/generation sizes; everything a run
 emits is a pure function of (corpus, config, engine), so reports are
 byte-identical across repeat runs and across worker counts. Every engine run
 is checked against the autoregressive oracle before it is reported; a
-divergence is a hard failure carrying the first differing position.
+divergence is a hard failure carrying the first differing position. Engine
+logs also yield the per-source acceptance rates that the theory module's
+bound check takes as input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
+
+import numpy as np
+
 from .engine import DecodeStats, EngineConfig, decode
 from .models import SyntheticModelSpec, ar_decode, build_synthetic
+from .theory import BoundSetting
 
 __all__ = [
     "CorpusSpec",
@@ -27,6 +34,9 @@ __all__ = [
     "run_corpus",
     "ablation_table",
     "ABLATION_FLAGS",
+    "Heterogeneity",
+    "measure_heterogeneity",
+    "setting_from_stats",
     "QUARTILE_METHOD",
 ]
 
@@ -68,16 +78,7 @@ class CorpusSpec:
             raise ValueError("corpus counts must be positive")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "model": json.loads(self.model.to_json()),
-                "prompts": self.prompts,
-                "prompt_len": self.prompt_len,
-                "max_tokens": self.max_tokens,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
@@ -246,8 +247,6 @@ def ablation_table(
     jobs: int = 1,
 ) -> list[dict]:
     """Full engine plus one row per single-flag ablation, with relative deltas."""
-    from dataclasses import replace
-
     config = config or EngineConfig()
     full = run_corpus(spec, "spine", config, jobs=jobs)
     rows = [
@@ -269,3 +268,56 @@ def ablation_table(
             }
         )
     return rows
+
+
+@dataclass(frozen=True)
+class Heterogeneity:
+    """Empirical per-source acceptance rates from a decode run.
+
+    A source with zero offered tokens has an undefined rate (None); the ratio
+    is ``inf`` when branches were offered but never accepted.
+    """
+
+    p_s: float | None
+    p_t: float | None
+    ratio: float | None
+
+
+def measure_heterogeneity(stats: DecodeStats) -> Heterogeneity:
+    """Fraction of drafted tokens accepted, per source, plus their ratio."""
+    if not stats.records:
+        raise ValueError("decode stats contain no cycles")
+    offered = stats.offered_by_source
+    accepted = stats.accepted_by_source
+    p_s = accepted["context"] / offered["context"] if offered["context"] else None
+    p_t = accepted["transition"] / offered["transition"] if offered["transition"] else None
+    ratio: float | None = None
+    if p_s is not None and p_t is not None:
+        ratio = math.inf if p_t == 0.0 else p_s / p_t
+    return Heterogeneity(p_s=p_s, p_t=p_t, ratio=ratio)
+
+
+def setting_from_stats(
+    setting_id: str, stats: DecodeStats, config: EngineConfig
+) -> BoundSetting:
+    """Build a bound-verification setting from one engine run's logs.
+
+    Undefined rates enter as 0.0 (a source never offered contributes nothing
+    to the analytic yield, keeping the bound conservative); the measured side
+    is the run's tau with the per-cycle sample stderr of emitted tokens.
+    """
+    het = measure_heterogeneity(stats)
+    per_cycle = [float(r.emitted) for r in stats.records]
+    stderr = 0.0
+    if len(per_cycle) > 1:
+        stderr = float(np.std(per_cycle, ddof=1) / math.sqrt(len(per_cycle)))
+    return BoundSetting(
+        setting_id=setting_id,
+        p_s=het.p_s if het.p_s is not None else 0.0,
+        p_t=het.p_t if het.p_t is not None else 0.0,
+        m=round(stats.mean_spine_len()),
+        budget=config.node_budget,
+        depth=config.max_tree_depth,
+        tau_meas=stats.tau,
+        stderr=stderr,
+    )

@@ -14,16 +14,15 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bench import CorpusSpec, LosslessnessError, ablation_table, run_corpus
-from .engine import ENGINE_KINDS, EngineConfig
-
-ABLATION_CLI_FLAGS = (
-    "disable_spine_branches",
-    "disable_bigram",
-    "disable_bypass",
-    "disable_spine",
-    "control_swap_sources",
+from .bench import (
+    ABLATION_FLAGS,
+    CorpusSpec,
+    LosslessnessError,
+    ablation_table,
+    run_corpus,
+    setting_from_stats,
 )
+from .engine import ENGINE_KINDS, EngineConfig
 from .models import SyntheticModelSpec
 from .theory import (
     AcceptanceModel,
@@ -31,7 +30,6 @@ from .theory import (
     TreeShape,
     dominance_scan,
     monte_carlo_yield,
-    setting_from_stats,
     spine_shape_tree,
     spine_yield,
     verify_bound,
@@ -85,7 +83,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
     spec = CorpusSpec.from_json(Path(args.corpus).read_text())
     config = _load_config(args.config)
-    toggles = {f: True for f in ABLATION_CLI_FLAGS if getattr(args, f)}
+    toggles = {f: True for f in ABLATION_FLAGS if getattr(args, f)}
     if toggles:
         config = replace(config, **toggles)
     try:
@@ -258,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--config")
     dec.add_argument("--out", required=True)
     dec.add_argument("--jobs", type=int, default=1)
-    for flag in ABLATION_CLI_FLAGS:
+    for flag in ABLATION_FLAGS:
         dec.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
     dec.set_defaults(func=_cmd_decode)
 

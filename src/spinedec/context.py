@@ -20,14 +20,10 @@ MAX_CHAIN = 20
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Draft chain copied verbatim from history, plus the consensus flag.
-
-    ``ngram_len`` is the query length that produced ``chain`` (0 when empty).
-    """
+    """Draft chain copied verbatim from history, plus the consensus flag."""
 
     chain: tuple[int, ...] = ()
     consensus: bool = False
-    ngram_len: int = 0
 
     def __bool__(self) -> bool:
         return bool(self.chain)
@@ -100,8 +96,7 @@ class ContextIndex:
             return MatchResult()
         firsts = [c[0] for c in found.values()]
         consensus = any(firsts.count(f) >= 2 for f in set(firsts))
-        best_n = max(found)
-        return MatchResult(chain=found[best_n], consensus=consensus, ngram_len=best_n)
+        return MatchResult(chain=found[max(found)], consensus=consensus)
 
 
 def context_match(

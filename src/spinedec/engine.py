@@ -1,4 +1,4 @@
-"""The full speculative decode loop and its baseline engines.
+"""The speculative decode loop; every baseline engine is a route policy on it.
 
 Each cycle routes by confidence: a long or consensus-backed context match is
 verified as a bare linear chain (bypass); otherwise any available draft source
@@ -7,14 +7,17 @@ all, the cycle degrades to a single autoregressive step. Every scored
 position, including rejected branches, is harvested into the adjacency table,
 and an EMA of spine acceptance retunes the spine ratio each cycle.
 
-Output is provably identical to plain greedy decoding: a token is only ever
-emitted after the target model predicted it at its exact position.
+The context, transition and iso-k baselines run the same loop with config
+overrides and another tree kind (``_ENGINES``), so all engines share one
+verification path. Output is provably identical to plain greedy decoding: a
+token is only ever emitted after the target model predicted it at its exact
+position.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 from .adjacency import AdjacencyTable
@@ -30,8 +33,6 @@ __all__ = [
     "spine_ratio_tier",
     "CycleRecord",
     "DecodeStats",
-    "spine_decode",
-    "baseline_decode",
     "decode",
     "ENGINE_KINDS",
 ]
@@ -63,26 +64,17 @@ class EngineConfig:
     disable_spine: bool = False
     control_swap_sources: bool = False
 
+    def __post_init__(self):
+        """Reject values that would otherwise fail mid-decode with a raw traceback."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
+        if not self.spine_ratio_tiers:
+            raise ValueError("spine_ratio_tiers must not be empty")
+
     def to_json(self) -> str:
-        raw = {
-            "ngram_lengths": list(self.ngram_lengths),
-            "max_spine_continuation": self.max_spine_continuation,
-            "transition_top_k": self.transition_top_k,
-            "node_budget": self.node_budget,
-            "max_tree_depth": self.max_tree_depth,
-            "min_score_threshold": self.min_score_threshold,
-            "spine_branch_ratio": self.spine_branch_ratio,
-            "ema_smoothing": self.ema_smoothing,
-            "ema_init": self.ema_init,
-            "spine_ratio_tiers": [list(t) for t in self.spine_ratio_tiers],
-            "bypass_threshold": self.bypass_threshold,
-            "disable_spine_branches": self.disable_spine_branches,
-            "disable_bigram": self.disable_bigram,
-            "disable_bypass": self.disable_bypass,
-            "disable_spine": self.disable_spine,
-            "control_swap_sources": self.control_swap_sources,
-        }
-        return json.dumps(raw, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EngineConfig":
@@ -189,10 +181,6 @@ class DecodeStats:
         return counts
 
     @property
-    def accepted_lengths(self) -> list[int]:
-        return [r.accepted_emitted for r in self.records if r.kind != "prefill"]
-
-    @property
     def offered_by_source(self) -> dict[str, int]:
         return {
             "context": sum(r.offered_context for r in self.records),
@@ -206,33 +194,12 @@ class DecodeStats:
             "transition": sum(r.accepted_transition for r in self.records),
         }
 
-    @property
-    def spine_offered_total(self) -> int:
-        return sum(r.offered_spine for r in self.records)
-
-    @property
-    def spine_accepted_total(self) -> int:
-        return sum(r.accepted_spine for r in self.records)
-
     def mean_spine_len(self) -> float:
         """Mean structural spine length over tree cycles (0 if none)."""
         tree_records = [r for r in self.records if r.kind == "tree"]
         if not tree_records:
             return 0.0
         return sum(r.offered_spine for r in tree_records) / len(tree_records)
-
-    def to_dict(self) -> dict:
-        return {
-            "budget": self.budget,
-            "total_tokens": self.total_tokens,
-            "model_calls": self.model_calls,
-            "tau": self.tau,
-            "cycle_counts": dict(sorted(self.cycle_counts.items())),
-            "category_counts": dict(sorted(self.category_counts.items())),
-            "offered_by_source": self.offered_by_source,
-            "accepted_by_source": self.accepted_by_source,
-            "accepted_lengths": self.accepted_lengths,
-        }
 
 
 def _table_chain(
@@ -379,14 +346,14 @@ def _decode_loop(
     prompt: Sequence[int],
     max_tokens: int,
     config: EngineConfig,
-    mode: str,
-    iso_k: int = 3,
+    tree_kind: str | None,
+    fanout: int,
 ) -> tuple[TokenSequence, DecodeStats]:
     if max_tokens < 0:
         raise ValueError("max_tokens must be >= 0")
     run = _Run(model, prompt, max_tokens, config)
     if max_tokens == 0:
-        return TokenSequence(tokens=(), role="generated"), run.stats
+        return TokenSequence(tokens=()), run.stats
     _prefill(run)
     use_bigram = not config.disable_bigram
     use_context = not config.disable_spine
@@ -400,8 +367,7 @@ def _decode_loop(
 
         # Bypass: a long or consensus-backed match is verified linearly.
         if (
-            mode == "spine"
-            and not config.disable_bypass
+            not config.disable_bypass
             and chain
             and (len(chain) >= config.bypass_threshold or consensus)
         ):
@@ -427,11 +393,12 @@ def _decode_loop(
                 continue
 
         # Tree: any available draft source fills the node budget.
-        has_transitions = run.table.has_successors(prev, anchor, use_bigram=use_bigram)
-        if chain or has_transitions:
-            if mode == "iso":
+        if tree_kind is not None and (
+            chain or run.table.has_successors(prev, anchor, use_bigram=use_bigram)
+        ):
+            if tree_kind == "iso":
                 tree = build_iso_tree(
-                    anchor, iso_k, config.node_budget, chain, run.table,
+                    anchor, fanout, config.node_budget, chain, run.table,
                     prev_token=prev, use_bigram=use_bigram,
                 )
             else:
@@ -470,53 +437,13 @@ def _decode_loop(
                 _record_walk(
                     run, "tree", walk, offered, accepted, offered_spine, accepted_spine
                 )
-                if mode == "spine":
-                    observation = accepted_spine / offered_spine if offered_spine else 0.0
-                    run.ema = update_ema(run.ema, observation)
+                observation = accepted_spine / offered_spine if offered_spine else 0.0
+                run.ema = update_ema(run.ema, observation)
                 continue
 
         _fallback_cycle(run)
 
-    return TokenSequence(tokens=tuple(run.out), role="generated"), run.stats
-
-
-def spine_decode(
-    model: TargetModel,
-    prompt: Sequence[int],
-    max_tokens: int,
-    config: EngineConfig | None = None,
-) -> tuple[TokenSequence, DecodeStats]:
-    """Full adaptive spine-tree decoding; output equals ``ar_decode`` exactly."""
-    return _decode_loop(model, prompt, max_tokens, config or EngineConfig(), mode="spine")
-
-
-def _context_only_loop(
-    model: TargetModel, prompt: Sequence[int], max_tokens: int, config: EngineConfig
-) -> tuple[TokenSequence, DecodeStats]:
-    if max_tokens < 0:
-        raise ValueError("max_tokens must be >= 0")
-    run = _Run(model, prompt, max_tokens, config)
-    if max_tokens == 0:
-        return TokenSequence(tokens=(), role="generated"), run.stats
-    _prefill(run)
-    while not run.done:
-        match = run.index.match()
-        if match.chain:
-            walk = linear_verify(model, match.chain, run.history, source=Source.CONTEXT)
-            _harvest_chain(run, match.chain, walk)
-            accepted_n = len(walk.accepted_tokens)
-            _record_walk(
-                run,
-                "bypass",
-                walk,
-                offered={Source.CONTEXT: len(match.chain)},
-                accepted={Source.CONTEXT: accepted_n},
-                offered_spine=len(match.chain),
-                accepted_spine=accepted_n,
-            )
-        else:
-            _fallback_cycle(run)
-    return TokenSequence(tokens=tuple(run.out), role="generated"), run.stats
+    return TokenSequence(tokens=tuple(run.out)), run.stats
 
 
 def _ar_loop(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> tuple[TokenSequence, DecodeStats]:
@@ -535,29 +462,21 @@ def _ar_loop(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> tupl
     return sequence, stats
 
 
-def baseline_decode(
-    kind: str,
-    model: TargetModel,
-    prompt: Sequence[int],
-    max_tokens: int,
-    config: EngineConfig | None = None,
-    iso_k: int = 3,
-) -> tuple[TokenSequence, DecodeStats]:
-    """Single-source and isotropic baselines sharing the lossless loop.
-
-    ``context``: n-gram match + linear verification only. ``transition``:
-    adjacency-only spine tree (no spine, no bypass). ``iso``: balanced
-    ``iso_k``-ary tree from the same candidate pool.
-    """
-    config = config or EngineConfig()
-    if kind == "context":
-        return _context_only_loop(model, prompt, max_tokens, config)
-    if kind == "transition":
-        flagged = replace(config, disable_spine=True, disable_bypass=True)
-        return _decode_loop(model, prompt, max_tokens, flagged, mode="spine")
-    if kind == "iso":
-        return _decode_loop(model, prompt, max_tokens, config, mode="iso", iso_k=iso_k)
-    raise ValueError(f"unknown baseline kind: {kind!r}")
+# Every engine but ``ar`` is the loop above under a route policy: config
+# overrides plus the tree it builds ("spine", "iso" with the fan-out taken
+# from the name, or None for no tree route).
+_ENGINES: dict[str, tuple[dict[str, object], str | None]] = {
+    "spine": ({}, "spine"),
+    # N-gram match plus linear verification only: every match is bypassed.
+    "context": (
+        dict(bypass_threshold=1, disable_bypass=False, disable_spine=False, control_swap_sources=False),
+        None,
+    ),
+    # Adjacency-only spine tree: no context spine, no bypass.
+    "transition": (dict(disable_spine=True, disable_bypass=True), "spine"),
+    # Balanced k-ary tree over the same candidate pool.
+    "iso": (dict(disable_bypass=True), "iso"),
+}
 
 
 def decode(
@@ -567,13 +486,17 @@ def decode(
     max_tokens: int,
     config: EngineConfig | None = None,
 ) -> tuple[TokenSequence, DecodeStats]:
-    """Dispatch by engine name: spine, context, transition, iso3, iso5, ar."""
-    if engine == "spine":
-        return spine_decode(model, prompt, max_tokens, config)
-    if engine in ("context", "transition"):
-        return baseline_decode(engine, model, prompt, max_tokens, config)
-    if engine.startswith("iso") and engine[3:].isdigit():
-        return baseline_decode("iso", model, prompt, max_tokens, config, iso_k=int(engine[3:]))
+    """Decode with a named engine: spine, context, transition, iso<k> or ar.
+
+    Output equals ``ar_decode`` exactly for every engine.
+    """
     if engine == "ar":
         return _ar_loop(model, prompt, max_tokens)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
+    kind, fanout = engine, 0
+    if engine.startswith("iso") and engine[3:].isdigit():
+        kind, fanout = "iso", int(engine[3:])
+    if kind not in _ENGINES or (kind == "iso" and fanout < 1):
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
+    overrides, tree_kind = _ENGINES[kind]
+    config = replace(config or EngineConfig(), **overrides)
+    return _decode_loop(model, prompt, max_tokens, config, tree_kind, fanout)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Protocol, Sequence
 
 __all__ = [
@@ -63,10 +63,9 @@ class Prediction(NamedTuple):
 
 @dataclass(frozen=True)
 class TokenSequence:
-    """An ordered token list tagged with its role in a decode run."""
+    """The ordered tokens generated by a decode run."""
 
     tokens: tuple[int, ...]
-    role: str = "generated"  # "prompt" | "generated"
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -118,10 +117,7 @@ class SyntheticModelSpec:
     repetition: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "seed": self.seed, "vocab": self.vocab, "repetition": self.repetition},
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticModelSpec":
@@ -355,4 +351,4 @@ def ar_decode(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> Tok
         history.append(token)
         if token == model.eos_token:
             break
-    return TokenSequence(tokens=tuple(out), role="generated")
+    return TokenSequence(tokens=tuple(out))

@@ -12,8 +12,8 @@ bounded below by
 with ``phi(w) = 1 - (1-p_t)^w`` and ``ell_bar = sum_{k=1..D-1} p_t^k``. The
 bound is tight when branches extend as independent chains. This module
 evaluates the bound, simulates the acceptance process directly to validate it,
-computes balanced k-ary ("isotropic") reference yields, scans for spine-over-
-isotropic dominance, and extracts empirical acceptance rates from decode logs.
+computes balanced k-ary ("isotropic") reference yields, and scans for spine-
+over-isotropic dominance.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import DecodeStats, EngineConfig
 from .tree import linear_allocation
 
 __all__ = [
@@ -47,9 +46,6 @@ __all__ = [
     "BoundRow",
     "BoundReport",
     "verify_bound",
-    "setting_from_stats",
-    "measure_heterogeneity",
-    "Heterogeneity",
     "MC_CHUNK",
 ]
 
@@ -62,7 +58,6 @@ class AcceptanceModel:
 
     p_s: float
     p_t: float
-    independent: bool = True
 
     def __post_init__(self):
         for name, p in (("p_s", self.p_s), ("p_t", self.p_t)):
@@ -96,15 +91,12 @@ class TreeShape:
 
 @dataclass(frozen=True)
 class YieldReport:
-    """Analytic bound with its components, plus optional measured references."""
+    """Analytic bound with its components."""
 
     tau_eq: float
     spine_term: float
     synergy_term: float
     bonus: float = 1.0
-    tau_meas: float | None = None
-    stderr: float | None = None
-    tau_iso: float | None = None
 
 
 def phi(width: int, p_t: float) -> float:
@@ -453,57 +445,4 @@ def verify_bound(
         rows=tuple(rows),
         violations=sum(r.violation for r in rows),
         pearson_r=pearson,
-    )
-
-
-@dataclass(frozen=True)
-class Heterogeneity:
-    """Empirical per-source acceptance rates from a decode run.
-
-    A source with zero offered tokens has an undefined rate (None); the ratio
-    is ``inf`` when branches were offered but never accepted.
-    """
-
-    p_s: float | None
-    p_t: float | None
-    ratio: float | None
-
-
-def measure_heterogeneity(stats: DecodeStats) -> Heterogeneity:
-    """Fraction of drafted tokens accepted, per source, plus their ratio."""
-    if not stats.records:
-        raise ValueError("decode stats contain no cycles")
-    offered = stats.offered_by_source
-    accepted = stats.accepted_by_source
-    p_s = accepted["context"] / offered["context"] if offered["context"] else None
-    p_t = accepted["transition"] / offered["transition"] if offered["transition"] else None
-    ratio: float | None = None
-    if p_s is not None and p_t is not None:
-        ratio = math.inf if p_t == 0.0 else p_s / p_t
-    return Heterogeneity(p_s=p_s, p_t=p_t, ratio=ratio)
-
-
-def setting_from_stats(
-    setting_id: str, stats: DecodeStats, config: EngineConfig
-) -> BoundSetting:
-    """Build a bound-verification setting from one engine run's logs.
-
-    Undefined rates enter as 0.0 (a source never offered contributes nothing
-    to the analytic yield, keeping the bound conservative); the measured side
-    is the run's tau with the per-cycle sample stderr of emitted tokens.
-    """
-    het = measure_heterogeneity(stats)
-    per_cycle = [float(r.emitted) for r in stats.records]
-    stderr = 0.0
-    if len(per_cycle) > 1:
-        stderr = float(np.std(per_cycle, ddof=1) / math.sqrt(len(per_cycle)))
-    return BoundSetting(
-        setting_id=setting_id,
-        p_s=het.p_s if het.p_s is not None else 0.0,
-        p_t=het.p_t if het.p_t is not None else 0.0,
-        m=round(stats.mean_spine_len()),
-        budget=config.node_budget,
-        depth=config.max_tree_depth,
-        tau_meas=stats.tau,
-        stderr=stderr,
     )

@@ -114,14 +114,6 @@ class SpineTree:
                 masks.append(masks[node.parent] | {node.parent})
         return masks
 
-    def path_tokens(self, index: int) -> list[int]:
-        """Root-to-node token path including the node itself."""
-        path: list[int] = []
-        while index != ROOT:
-            path.append(self.nodes[index].token)
-            index = self.nodes[index].parent
-        return path[::-1]
-
     def dump(self) -> str:
         """Indented debug text, one node per line: depth token source parent."""
         lines = []

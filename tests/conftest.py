@@ -64,7 +64,7 @@ class ScriptedModel:
 def brute_force_match(history, lengths=(3, 4, 5), max_chain=20):
     """Independent linear-scan reimplementation of the context-match contract.
 
-    Returns (chain, consensus, ngram_len) like MatchResult.
+    Returns (chain, consensus) like MatchResult.
     """
     total = len(history)
     found: dict[int, tuple[int, ...]] = {}
@@ -80,11 +80,10 @@ def brute_force_match(history, lengths=(3, 4, 5), max_chain=20):
                     found[n] = chain
                 break  # the most recent earlier occurrence decides
     if not found:
-        return (), False, 0
+        return (), False
     firsts = [c[0] for c in found.values()]
     consensus = any(firsts.count(f) >= 2 for f in set(firsts))
-    best_n = max(found)
-    return found[best_n], consensus, best_n
+    return found[max(found)], consensus
 
 
 def closure_masks(tree):

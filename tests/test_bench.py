@@ -82,7 +82,7 @@ def test_losslessness_failure_reports_first_divergence(monkeypatch):
         sequence, stats = real_decode("ar", model, prompt, max_tokens)
         tampered = list(sequence.tokens)
         tampered[5] = (tampered[5] + 1) % 7
-        return TokenSequence(tokens=tuple(tampered), role="generated"), stats
+        return TokenSequence(tokens=tuple(tampered)), stats
 
     monkeypatch.setattr(bench, "decode", broken_decode)
     with pytest.raises(LosslessnessError) as err:

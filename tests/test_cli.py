@@ -138,3 +138,15 @@ def test_bad_numeric_arguments_exit_nonzero(tmp_path: Path):
 
 def test_missing_corpus_file_exits_nonzero(tmp_path: Path):
     assert main(["decode", "--corpus", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("config", ['{"spine_ratio_tiers": []}', '{"node_budget": "60"}'])
+def test_bad_config_exits_before_decoding(
+    corpus_file: Path, tmp_path: Path, config: str, capsys: pytest.CaptureFixture
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    assert main(["decode", "--corpus", str(corpus_file), "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()

@@ -13,15 +13,14 @@ from spinedec.context import ContextIndex, context_match
 def test_simple_repeat_yields_earlier_continuation():
     result = context_match([1, 2, 3, 4, 5, 1, 2, 3], lengths=(3,))
     assert result.chain == (4, 5)
-    assert result.ngram_len == 3
     assert not result.consensus
     # Cross-check against the independent brute-force scan.
-    assert brute_force_match([1, 2, 3, 4, 5, 1, 2, 3], lengths=(3,)) == ((4, 5), False, 3)
+    assert brute_force_match([1, 2, 3, 4, 5, 1, 2, 3], lengths=(3,)) == ((4, 5), False)
 
 
 def test_no_earlier_occurrence_is_empty_not_an_error():
     result = context_match([7, 8, 9])
-    assert result.chain == () and not result.consensus and result.ngram_len == 0
+    assert result.chain == () and not result.consensus
     assert not result
 
 
@@ -36,15 +35,15 @@ def test_consensus_when_two_lengths_agree_on_first_token():
     oracle = brute_force_match(history)
     assert result.consensus is True
     assert result.chain == oracle[0] == (8,)
-    assert result.ngram_len == oracle[2] == 4
 
 
 def test_longest_matching_length_wins():
-    # n=3, 4, 5 all match; the chain must come from n=5.
-    history = [1, 2, 3, 4, 5, 6, 7, 1, 2, 3, 4, 5]
+    # n=3, 4, 5 all match with different chains; the chain must come from n=5.
+    history = [1, 2, 3, 4, 5, 6, 7, 9, 3, 4, 5, 8, 1, 2, 3, 4, 5]
     result = context_match(history)
-    assert result.ngram_len == 5
-    assert result.chain == brute_force_match(history)[0] == (6, 7)
+    assert context_match(history, lengths=(3,)).chain == (8, 1, 2)
+    assert context_match(history, lengths=(4,)).chain == (6, 7, 9, 3, 4, 5, 8, 1)
+    assert result.chain == brute_force_match(history)[0] == (6, 7, 9, 3, 4, 5, 8)
 
 
 def test_most_recent_earlier_occurrence_is_preferred():
@@ -101,7 +100,7 @@ def test_incremental_equals_fresh_and_brute_force_over_long_history():
         fresh = context_match(prefix)
         oracle = brute_force_match(prefix)
         assert incremental == fresh
-        assert (incremental.chain, incremental.consensus, incremental.ngram_len) == oracle
+        assert (incremental.chain, incremental.consensus) == oracle
 
 
 def test_invalid_lengths_rejected():
@@ -116,7 +115,7 @@ def test_invalid_lengths_rejected():
 def test_match_properties(history):
     result = context_match(history)
     oracle = brute_force_match(history)
-    assert (result.chain, result.consensus, result.ngram_len) == oracle
+    assert (result.chain, result.consensus) == oracle
     assert len(result.chain) <= 20
     if result.consensus:
         assert len(result.chain) >= 1

@@ -8,9 +8,7 @@ from conftest import ScriptedModel
 from spinedec.engine import (
     EmaState,
     EngineConfig,
-    baseline_decode,
     decode,
-    spine_decode,
     spine_ratio_tier,
     update_ema,
 )
@@ -85,7 +83,7 @@ def test_config_rejects_unknown_keys():
 
 
 def test_zero_token_run_is_empty_with_no_calls():
-    out, stats = spine_decode(make_model("markov-order-2"), (1, 2), 0)
+    out, stats = decode("spine", make_model("markov-order-2"), (1, 2), 0)
     assert out.tokens == ()
     assert stats.model_calls == 0
     assert stats.tau == 1.0
@@ -93,21 +91,21 @@ def test_zero_token_run_is_empty_with_no_calls():
 
 def test_empty_prompt_rejected():
     with pytest.raises(ValueError):
-        spine_decode(make_model("markov-order-2"), (), 4)
+        decode("spine", make_model("markov-order-2"), (), 4)
 
 
 def test_fallback_when_no_source_is_available():
     # The prompt's harvested keys never include the fresh anchor token, and a
     # 3-token history has no repeated n-grams, so cycle one must be an AR step.
     model = ScriptedModel(vocab_size=32, script={(1, 1): 9, (1, 1, 9): 9})
-    out, stats = spine_decode(model, (1, 1), 3, SMALL)
+    out, stats = decode("spine", model, (1, 1), 3, SMALL)
     assert stats.records[1].kind == "fallback"
     assert out.tokens == ar_decode(ScriptedModel(vocab_size=32, script=model.script), (1, 1), 3).tokens
 
 
 def test_prefill_counts_as_one_call_and_one_token():
     model = make_model("markov-order-2")
-    out, stats = spine_decode(model, (1, 2, 3), 1)
+    out, stats = decode("spine", model, (1, 2, 3), 1)
     assert stats.model_calls == 1
     assert stats.records[0].kind == "prefill"
     assert out.tokens == ar_decode(make_model("markov-order-2"), (1, 2, 3), 1).tokens
@@ -115,7 +113,7 @@ def test_prefill_counts_as_one_call_and_one_token():
 
 def test_long_match_triggers_bypass():
     model = make_model("template-repeater", repetition=1.0, vocab=32)
-    out, stats = spine_decode(model, (1, 2), 80)
+    out, stats = decode("spine", model, (1, 2), 80)
     assert stats.cycle_counts.get("bypass", 0) > 0
     assert out.tokens == ar_decode(make_model("template-repeater", repetition=1.0, vocab=32), (1, 2), 80).tokens
 
@@ -123,7 +121,7 @@ def test_long_match_triggers_bypass():
 def test_disable_bypass_routes_through_trees():
     model = make_model("template-repeater", repetition=1.0, vocab=32)
     config = replace(EngineConfig(), disable_bypass=True)
-    _out, stats = spine_decode(model, (1, 2), 80, config)
+    _out, stats = decode("spine", model, (1, 2), 80, config)
     assert stats.cycle_counts.get("bypass", 0) == 0
     assert stats.cycle_counts.get("tree", 0) > 0
 
@@ -132,7 +130,7 @@ def test_consensus_triggers_bypass_below_length_threshold():
     # A 9-token template keeps chains under the length threshold (<= 6), but
     # all n-gram lengths agree on the continuation, so consensus bypass fires.
     model = make_model("template-repeater", repetition=1.0, vocab=10)
-    _out, stats = spine_decode(model, (1, 2), 60)
+    _out, stats = decode("spine", model, (1, 2), 60)
     bypass_records = [r for r in stats.records if r.kind == "bypass"]
     assert bypass_records
     assert all(r.offered_spine < 8 for r in bypass_records)
@@ -141,7 +139,7 @@ def test_consensus_triggers_bypass_below_length_threshold():
 def test_stats_identity_tokens_split_into_accepted_plus_bonus():
     for kind, rep in (("markov-order-2", 0.0), ("template-repeater", 0.9)):
         model = make_model(kind, repetition=rep)
-        out, stats = spine_decode(model, (3, 4, 5), 97)
+        out, stats = decode("spine", model, (3, 4, 5), 97)
         accepted = sum(r.accepted_emitted for r in stats.records)
         bonus = sum(r.bonus_emitted for r in stats.records)
         assert accepted + bonus == stats.total_tokens == len(out.tokens)
@@ -156,7 +154,7 @@ def test_stats_identity_tokens_split_into_accepted_plus_bonus():
 def test_truncation_mid_cycle_respects_the_budget():
     model = make_model("template-repeater", repetition=1.0, vocab=32)
     reference = ar_decode(make_model("template-repeater", repetition=1.0, vocab=32), (1, 2), 33)
-    out, stats = spine_decode(model, (1, 2), 33)
+    out, stats = decode("spine", model, (1, 2), 33)
     assert out.tokens == reference.tokens
     assert len(out.tokens) == 33
     assert stats.total_tokens == 33
@@ -165,7 +163,7 @@ def test_truncation_mid_cycle_respects_the_budget():
 def test_eos_truncation_matches_reference():
     script = {(3, 4): 5, (3, 4, 5): 6, (3, 4, 5, 6): 15}  # eos = 15
     out_ref = ar_decode(ScriptedModel(16, dict(script)), (3, 4), 40)
-    out, _stats = spine_decode(ScriptedModel(16, dict(script)), (3, 4), 40, SMALL)
+    out, _stats = decode("spine", ScriptedModel(16, dict(script)), (3, 4), 40, SMALL)
     assert out.tokens == out_ref.tokens
     assert out.tokens[-1] == 15
 
@@ -174,21 +172,21 @@ def test_transition_baseline_equals_flagged_spine_engine():
     for kind in ("markov-order-2", "template-repeater"):
         model_a = make_model(kind)
         model_b = make_model(kind)
-        out_a, stats_a = baseline_decode("transition", model_a, (1, 2, 3), 120)
+        out_a, stats_a = decode("transition", model_a, (1, 2, 3), 120)
         flagged = replace(EngineConfig(), disable_spine=True, disable_bypass=True)
-        out_b, stats_b = spine_decode(model_b, (1, 2, 3), 120, flagged)
+        out_b, stats_b = decode("spine", model_b, (1, 2, 3), 120, flagged)
         assert out_a.tokens == out_b.tokens
         assert stats_a.tau == stats_b.tau
 
 
 def test_transition_baseline_offers_no_context_tokens():
-    _out, stats = baseline_decode("transition", make_model("template-repeater"), (1, 2, 3), 80)
+    _out, stats = decode("transition", make_model("template-repeater"), (1, 2, 3), 80)
     assert stats.offered_by_source["context"] == 0
 
 
 def test_context_baseline_tau_is_one_when_nothing_repeats():
     model = make_model("template-repeater", repetition=0.0, vocab=64)
-    out, stats = baseline_decode("context", model, (1, 2, 3), 120)
+    out, stats = decode("context", model, (1, 2, 3), 120)
     assert out.tokens == ar_decode(make_model("template-repeater", repetition=0.0, vocab=64), (1, 2, 3), 120).tokens
     assert stats.tau < 1.1
 
@@ -196,7 +194,7 @@ def test_context_baseline_tau_is_one_when_nothing_repeats():
 def test_control_swap_offers_no_context_tokens_but_keeps_shape():
     model = make_model("template-repeater", repetition=0.9)
     config = replace(EngineConfig(), control_swap_sources=True)
-    out, stats = spine_decode(model, (1, 2, 3), 120, config)
+    out, stats = decode("spine", model, (1, 2, 3), 120, config)
     assert stats.offered_by_source["context"] == 0
     reference = ar_decode(make_model("template-repeater", repetition=0.9), (1, 2, 3), 120)
     assert out.tokens == reference.tokens
@@ -205,8 +203,6 @@ def test_control_swap_offers_no_context_tokens_but_keeps_shape():
 def test_unknown_engine_kind_rejected():
     with pytest.raises(ValueError):
         decode("turbo", make_model("markov-order-2"), (1,), 4)
-    with pytest.raises(ValueError):
-        baseline_decode("turbo", make_model("markov-order-2"), (1,), 4)
 
 
 def test_ar_engine_tau_is_exactly_one():
@@ -229,5 +225,5 @@ def test_every_engine_is_lossless(engine, kind, rep):
 
 def test_single_call_per_cycle():
     model = ScriptedModel(vocab_size=32)
-    _out, stats = spine_decode(model, (1, 2), 25, SMALL)
+    _out, stats = decode("spine", model, (1, 2), 25, SMALL)
     assert model.calls == stats.model_calls == len(stats.records)

@@ -3,10 +3,10 @@ engine-log bound-verification sweep (25 model x corpus settings)."""
 
 from __future__ import annotations
 
-from spinedec.bench import CorpusSpec, run_corpus
+from spinedec.bench import CorpusSpec, measure_heterogeneity, run_corpus, setting_from_stats
 from spinedec.engine import DecodeStats, EngineConfig
 from spinedec.models import SyntheticModelSpec
-from spinedec.theory import measure_heterogeneity, setting_from_stats, verify_bound
+from spinedec.theory import verify_bound
 
 
 def _merged_stats(report) -> DecodeStats:

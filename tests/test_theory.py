@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from spinedec.engine import EngineConfig, spine_decode
+from spinedec.bench import measure_heterogeneity, setting_from_stats
+from spinedec.engine import EngineConfig, decode
 from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import (
     AcceptanceModel,
@@ -17,10 +18,8 @@ from spinedec.theory import (
     dominance_scan,
     ell_bar,
     iso_yield,
-    measure_heterogeneity,
     monte_carlo_yield,
     phi,
-    setting_from_stats,
     spine_shape_tree,
     spine_yield,
     synergy,
@@ -281,7 +280,7 @@ def test_verify_bound_tolerates_inverted_measured_rates():
 def test_verify_bound_accepts_engine_logs():
     model = build_synthetic(SyntheticModelSpec("template-repeater", 3, 64, 0.9))
     config = EngineConfig()
-    _out, stats = spine_decode(model, (1, 2, 3), 300, config)
+    _out, stats = decode("spine", model, (1, 2, 3), 300, config)
     setting = setting_from_stats("run", stats, config)
     assert setting.tau_meas == pytest.approx(stats.tau)
     report = verify_bound([setting])
@@ -323,7 +322,7 @@ def test_measure_heterogeneity_undefined_when_source_never_offered():
 
 def test_heterogeneity_on_a_repetitive_run_is_in_the_expected_regime():
     model = build_synthetic(SyntheticModelSpec("template-repeater", 9, 64, 0.9))
-    _out, stats = spine_decode(model, (5, 6, 7), 400)
+    _out, stats = decode("spine", model, (5, 6, 7), 400)
     het = measure_heterogeneity(stats)
     assert het.ratio is not None and het.ratio > 2.0
 
