@@ -142,8 +142,8 @@ def run_prompt(
     """
     prompt = prompts_for(spec)[prompt_id]
     model = build_synthetic(spec.model)
-    reference = ar_decode(model, prompt, spec.max_tokens).tokens
     sequence, stats = decode(engine, model, prompt, spec.max_tokens, config)
+    reference = ar_decode(model, prompt, spec.max_tokens).tokens
     if sequence.tokens != reference:
         for pos in range(max(len(sequence.tokens), len(reference))):
             got = sequence.tokens[pos] if pos < len(sequence.tokens) else None

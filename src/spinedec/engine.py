@@ -17,13 +17,14 @@ position.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Sequence
 
 from .adjacency import AdjacencyTable
 from .context import ContextIndex
 from .models import ModelQuery, TargetModel, TokenSequence, ar_decode
-from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
+from .tree import Source, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
 
 __all__ = [
@@ -65,13 +66,31 @@ class EngineConfig:
     control_swap_sources: bool = False
 
     def __post_init__(self):
-        """Reject values that would otherwise fail mid-decode with a raw traceback."""
+        """Reject values that would otherwise fail mid-decode with a raw traceback.
+
+        Every tier's tree budget and the initial EMA are built once here, so
+        their own range checks run before any decoding.
+        """
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ValueError(f"{f.name} must be an int, got {value!r}")
         if not self.spine_ratio_tiers:
             raise ValueError("spine_ratio_tiers must not be empty")
+        for _bound, ratio in self.spine_ratio_tiers:
+            self.tree_budget(ratio)
+        self.ema_state()
+
+    def tree_budget(self, spine_ratio: float) -> TreeBudget:
+        return TreeBudget(
+            budget=self.node_budget,
+            spine_ratio=spine_ratio,
+            spine_branch_ratio=self.spine_branch_ratio,
+            max_depth=self.max_tree_depth,
+        )
+
+    def ema_state(self) -> EmaState:
+        return EmaState(value=self.ema_init, alpha=self.ema_smoothing)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -147,7 +166,6 @@ class CycleRecord:
 class DecodeStats:
     """Per-run decode telemetry; one record per model call."""
 
-    budget: int
     records: list[CycleRecord] = field(default_factory=list)
 
     @property
@@ -225,7 +243,6 @@ class _Run:
         if not prompt:
             raise ValueError("prompt must be non-empty")
         self.model = model
-        self.config = config
         self.max_tokens = max_tokens
         self.history: list[int] = list(prompt)
         self.out: list[int] = []
@@ -233,8 +250,8 @@ class _Run:
         self.index = ContextIndex(
             prompt, lengths=config.ngram_lengths, max_chain=config.max_spine_continuation
         )
-        self.stats = DecodeStats(budget=config.node_budget)
-        self.ema = EmaState(value=config.ema_init, alpha=config.ema_smoothing)
+        self.stats = DecodeStats()
+        self.ema = config.ema_state()
 
     @property
     def done(self) -> bool:
@@ -242,8 +259,9 @@ class _Run:
             bool(self.out) and self.out[-1] == self.model.eos_token
         )
 
-    def emit(self, appended: Sequence[int], accepted_count: int) -> tuple[int, int, int]:
-        """Append tokens subject to the length/EOS cut; returns emit counts."""
+    def emit(self, kind: str, appended: Sequence[int], category: str,
+             accepted_count: int = 0, **counts: int) -> None:
+        """Append tokens subject to the length/EOS cut and record the cycle."""
         allowed = self.max_tokens - len(self.out)
         emit = list(appended[:allowed])
         if self.model.eos_token in emit:
@@ -252,93 +270,51 @@ class _Run:
         self.history.extend(emit)
         self.index.extend(emit)
         accepted_emitted = min(len(emit), accepted_count)
-        bonus_emitted = len(emit) - accepted_emitted
-        return len(emit), accepted_emitted, bonus_emitted
+        self.stats.records.append(
+            CycleRecord(
+                kind=kind,
+                emitted=len(emit),
+                accepted_emitted=accepted_emitted,
+                bonus_emitted=len(emit) - accepted_emitted,
+                category=category,
+                **counts,
+            )
+        )
 
 
-def _prefill(run: _Run) -> None:
-    prompt = run.history
-    response = run.model.score_tree(ModelQuery(base=tuple(prompt)))
+def _ar_step(run: _Run, kind: str, scored_from: int) -> None:
+    """One plain model call: harvest every scored position, emit the prediction."""
+    history = run.history
+    response = run.model.score_tree(ModelQuery(base=tuple(history), scored_from=scored_from))
     run.table.harvest(
-        (tuple(prompt[max(0, i - 1): i + 1]), response.base[i].top_k)
-        for i in range(len(prompt))
+        (tuple(history[max(0, i - 1): i + 1]), prediction.top_k)
+        for i, prediction in enumerate(response.base, start=scored_from)
     )
-    anchor = response.base[-1].token
-    emitted, accepted_emitted, bonus_emitted = run.emit([anchor], accepted_count=0)
-    run.stats.records.append(
-        CycleRecord(
-            kind="prefill",
-            emitted=emitted,
-            accepted_emitted=accepted_emitted,
-            bonus_emitted=bonus_emitted,
-            category=PathCategory.EMPTY,
-        )
-    )
+    run.emit(kind, [response.base[-1].token], PathCategory.EMPTY)
 
 
-def _harvest_chain(run: _Run, chain: Sequence[int], walk: WalkResult) -> None:
-    anchor = run.history[-1]
-    items = [(tuple(run.history[-2:]), walk.response.base[-1].top_k)]
-    for j, token in enumerate(chain):
-        prev = chain[j - 1] if j > 0 else anchor
-        items.append(((prev, token), walk.response.nodes[j].top_k))
+def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
+    """Harvest every scored node, emit the accepted path, and retune the EMA."""
+    tree, response = walk.tree, walk.response
+    items = [(tuple(run.history[-2:]), response.base[-1].top_k)]
+    for node, prediction in zip(tree.nodes[1:], response.nodes):
+        items.append(((tree.nodes[node.parent].token, node.token), prediction.top_k))
     run.table.harvest(items)
-
-
-def _harvest_tree(run: _Run, tree: SpineTree, walk: WalkResult) -> None:
-    items = [(tuple(run.history[-2:]), walk.response.base[-1].top_k)]
-    for i in range(1, len(tree.nodes)):
-        node = tree.nodes[i]
-        parent_token = tree.nodes[node.parent].token
-        items.append(((parent_token, node.token), walk.response.nodes[i - 1].top_k))
-    run.table.harvest(items)
-
-
-def _record_walk(
-    run: _Run,
-    kind: str,
-    walk: WalkResult,
-    offered: dict[Source, int],
-    accepted: dict[Source, int],
-    offered_spine: int,
-    accepted_spine: int,
-) -> None:
-    emitted, accepted_emitted, bonus_emitted = run.emit(
-        walk.tokens, accepted_count=len(walk.accepted_tokens)
+    offered = Counter(node.source for node in tree.nodes[1:])
+    accepted = Counter(tree.nodes[i].source for i in walk.accepted)
+    spine = set(tree.spine[1:])
+    accepted_spine = sum(1 for i in walk.accepted if i in spine)
+    run.emit(
+        kind, walk.tokens, walk.category,
+        accepted_count=len(walk.accepted),
+        offered_context=offered[Source.CONTEXT],
+        offered_transition=offered[Source.TRANSITION],
+        accepted_context=accepted[Source.CONTEXT],
+        accepted_transition=accepted[Source.TRANSITION],
+        offered_spine=len(spine),
+        accepted_spine=accepted_spine,
     )
-    run.stats.records.append(
-        CycleRecord(
-            kind=kind,
-            emitted=emitted,
-            accepted_emitted=accepted_emitted,
-            bonus_emitted=bonus_emitted,
-            category=walk.category,
-            offered_context=offered.get(Source.CONTEXT, 0),
-            offered_transition=offered.get(Source.TRANSITION, 0),
-            accepted_context=accepted.get(Source.CONTEXT, 0),
-            accepted_transition=accepted.get(Source.TRANSITION, 0),
-            offered_spine=offered_spine,
-            accepted_spine=accepted_spine,
-        )
-    )
-
-
-def _fallback_cycle(run: _Run) -> None:
-    response = run.model.score_tree(
-        ModelQuery(base=tuple(run.history), scored_from=len(run.history) - 1)
-    )
-    run.table.harvest([(tuple(run.history[-2:]), response.base[-1].top_k)])
-    bonus = response.base[-1].token
-    emitted, accepted_emitted, bonus_emitted = run.emit([bonus], accepted_count=0)
-    run.stats.records.append(
-        CycleRecord(
-            kind="fallback",
-            emitted=emitted,
-            accepted_emitted=accepted_emitted,
-            bonus_emitted=bonus_emitted,
-            category=PathCategory.EMPTY,
-        )
-    )
+    run.ema = update_ema(run.ema, accepted_spine / len(spine) if spine else 0.0)
 
 
 def _decode_loop(
@@ -354,7 +330,7 @@ def _decode_loop(
     run = _Run(model, prompt, max_tokens, config)
     if max_tokens == 0:
         return TokenSequence(tokens=()), run.stats
-    _prefill(run)
+    _ar_step(run, "prefill", 0)
     use_bigram = not config.disable_bigram
     use_context = not config.disable_spine
 
@@ -377,19 +353,7 @@ def _decode_loop(
                 verify_chain = _table_chain(run.table, prev, anchor, len(chain), use_bigram)
                 source = Source.TRANSITION
             if verify_chain:
-                walk = linear_verify(model, verify_chain, run.history, source=source)
-                _harvest_chain(run, verify_chain, walk)
-                accepted_n = len(walk.accepted_tokens)
-                _record_walk(
-                    run,
-                    "bypass",
-                    walk,
-                    offered={source: len(verify_chain)},
-                    accepted={source: accepted_n},
-                    offered_spine=len(verify_chain),
-                    accepted_spine=accepted_n,
-                )
-                run.ema = update_ema(run.ema, accepted_n / len(verify_chain))
+                _finish_walk(run, "bypass", linear_verify(model, verify_chain, run.history, source=source))
                 continue
 
         # Tree: any available draft source fills the node budget.
@@ -403,52 +367,30 @@ def _decode_loop(
                 )
             else:
                 ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
-                budget = TreeBudget(
-                    budget=config.node_budget,
-                    spine_ratio=ratio,
-                    spine_branch_ratio=config.spine_branch_ratio,
-                    max_depth=config.max_tree_depth,
-                )
                 spine_chain: tuple[int, ...] = chain
                 spine_source = Source.CONTEXT
                 if config.control_swap_sources and chain:
                     spine_chain = _table_chain(run.table, prev, anchor, len(chain), use_bigram)
                     spine_source = Source.TRANSITION
                 tree = build_spine_tree(
-                    anchor, spine_chain, run.table, budget,
+                    anchor, spine_chain, run.table, config.tree_budget(ratio),
                     prev_token=prev,
                     spine_source=spine_source,
                     spine_branches=not config.disable_spine_branches,
                     use_bigram=use_bigram,
                 )
             if len(tree) > 1:
-                walk = unified_greedy_walk(model, tree, run.history)
-                _harvest_tree(run, tree, walk)
-                offered: dict[Source, int] = {}
-                for node in tree.nodes[1:]:
-                    offered[node.source] = offered.get(node.source, 0) + 1
-                accepted: dict[Source, int] = {}
-                for i in walk.accepted:
-                    src = tree.nodes[i].source
-                    accepted[src] = accepted.get(src, 0) + 1
-                spine_set = set(tree.spine[1:])
-                offered_spine = len(spine_set)
-                accepted_spine = sum(1 for i in walk.accepted if i in spine_set)
-                _record_walk(
-                    run, "tree", walk, offered, accepted, offered_spine, accepted_spine
-                )
-                observation = accepted_spine / offered_spine if offered_spine else 0.0
-                run.ema = update_ema(run.ema, observation)
+                _finish_walk(run, "tree", unified_greedy_walk(model, tree, run.history))
                 continue
 
-        _fallback_cycle(run)
+        _ar_step(run, "fallback", len(run.history) - 1)
 
     return TokenSequence(tokens=tuple(run.out)), run.stats
 
 
 def _ar_loop(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> tuple[TokenSequence, DecodeStats]:
     sequence = ar_decode(model, prompt, max_tokens)
-    stats = DecodeStats(budget=0)
+    stats = DecodeStats()
     for i, _token in enumerate(sequence.tokens):
         stats.records.append(
             CycleRecord(

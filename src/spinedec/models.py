@@ -2,9 +2,10 @@
 
 The verification oracle for everything in this package is a *target model*:
 a deterministic greedy next-token function that can score a whole draft tree
-in one call (tree-mask semantics: a node's prediction depends only on its
-root-to-node ancestor token path). Two seeded synthetic families stand in for
-a real LLM at desk scale:
+in one call. A draft node is ``(token, parent)``: the parent index is all a
+tree-attention mask needs, and a node's prediction depends only on the token
+path from the base through its parents. Two seeded synthetic families stand
+in for a real LLM at desk scale:
 
 * ``markov-order-2`` — a fixed per-(prev, cur) successor table drawn from a
   seeded generator; transition-table drafting has exact signal to exploit.
@@ -75,14 +76,15 @@ class TokenSequence:
 class ModelQuery:
     """A base sequence plus extra tree nodes to score in one call.
 
-    Each extra node is ``(token, ancestors)`` where ``ancestors`` are indices
-    of earlier extra nodes forming its root-to-node chain (the base sequence
-    is an implicit ancestor of every node). ``scored_from`` trims the response:
-    base predictions are returned for positions ``scored_from..len(base)-1``.
+    Each extra node is ``(token, parent)``: ``parent`` is the index of an
+    earlier extra node, or ``-1`` for the last base token, so node ``j``
+    continues the base plus the tokens on its parent chain. ``scored_from``
+    trims the response: base predictions are returned for positions
+    ``scored_from..len(base)-1``.
     """
 
     base: tuple[int, ...]
-    nodes: tuple[tuple[int, tuple[int, ...]], ...] = ()
+    nodes: tuple[tuple[int, int], ...] = ()
     scored_from: int = 0
 
 
@@ -182,17 +184,11 @@ class _SyntheticModel:
                 base_preds.append(self._predict(state))
         node_states: list[tuple[int, int, int]] = []
         node_preds: list[Prediction] = []
-        for j, (token, ancestors) in enumerate(query.nodes):
+        for j, (token, parent) in enumerate(query.nodes):
             self._check_token(token)
-            if ancestors:
-                parent = ancestors[-1]
-                if not (0 <= parent < j):
-                    raise ValueError(f"node {j} references non-earlier ancestor {parent}")
-                if tuple(query.nodes[parent][1]) + (parent,) != tuple(ancestors):
-                    raise ValueError(f"node {j} ancestor list is not its parent's path")
-                ns = self._advance(node_states[parent], token)
-            else:
-                ns = self._advance(state, token)
+            if not (-1 <= parent < j):
+                raise ValueError(f"node {j} references non-earlier parent {parent}")
+            ns = self._advance(node_states[parent] if parent >= 0 else state, token)
             node_states.append(ns)
             node_preds.append(self._predict(ns))
         return ModelResponse(base=tuple(base_preds), nodes=tuple(node_preds))

@@ -89,7 +89,6 @@ class SpineTree:
 
     nodes: list[DraftNode]
     spine: list[int]  # node indices of the spine chain, root first
-    budget: int
     children: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
@@ -102,18 +101,6 @@ class SpineTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def ancestor_masks(self) -> list[frozenset[int]]:
-        """Exact ancestor index set per node (empty for the root)."""
-        masks: list[frozenset[int]] = []
-        for i, node in enumerate(self.nodes):
-            if node.parent == ROOT:
-                masks.append(frozenset())
-            elif node.parent >= i:
-                raise RuntimeError(f"node {i} has non-earlier parent {node.parent}")
-            else:
-                masks.append(masks[node.parent] | {node.parent})
-        return masks
-
     def dump(self) -> str:
         """Indented debug text, one node per line: depth token source parent."""
         lines = []
@@ -124,14 +111,14 @@ class SpineTree:
 
 
 def tree_query(tree: SpineTree, base: Sequence[int]) -> ModelQuery:
-    """Convert a tree to a scoring query; the root is the base's last token."""
+    """Convert a tree to a scoring query; the root is the base's last token.
+
+    Query node ``i - 1`` is tree node ``i``, so a parent index shifts by one
+    and the root's children get ``-1``, the last base token.
+    """
     if not base or base[-1] != tree.nodes[0].token:
         raise ValueError("tree root must equal the last base token")
-    masks = tree.ancestor_masks()
-    nodes = tuple(
-        (tree.nodes[i].token, tuple(a - 1 for a in sorted(masks[i]) if a != 0))
-        for i in range(1, len(tree.nodes))
-    )
+    nodes = tuple((n.token, n.parent - 1) for n in tree.nodes[1:])
     return ModelQuery(base=tuple(base), nodes=nodes, scored_from=len(base) - 1)
 
 
@@ -244,7 +231,7 @@ def build_spine_tree(
                 break
             leaf, offset, left = nxt, offset + 1, left - 1
 
-    return SpineTree(nodes=b.nodes, spine=spine, budget=budget.budget, children=b.children)
+    return SpineTree(nodes=b.nodes, spine=spine, children=b.children)
 
 
 def build_iso_tree(
@@ -297,7 +284,7 @@ def build_iso_tree(
                     on_chain[index] = True
                 next_frontier.append(index)
         frontier = next_frontier
-    return SpineTree(nodes=b.nodes, spine=[0], budget=node_budget, children=b.children)
+    return SpineTree(nodes=b.nodes, spine=[0], children=b.children)
 
 
 def linear_allocation(p_s: float, p_t: float, m: int, branch_budget: int) -> list[int]:

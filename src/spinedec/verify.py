@@ -1,10 +1,11 @@
-"""Single-pass draft verification: unified greedy walk and linear bypass.
+"""Single-pass draft verification: the unified greedy walk.
 
 One model call scores the whole draft; the walk then follows matching children
 from the root, preferring context-sourced (spine) children over transition
 children, and stops at the first position where nothing matches. The model's
 greedy prediction at the stopping point is appended as a bonus token, so every
-cycle makes progress.
+cycle makes progress. A bypass chain is verified as a tree with one child per
+node, so every draft takes this one path.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .models import ModelQuery, ModelResponse, Prediction, TargetModel
-from .tree import Source, SpineTree, tree_query
+from .models import ModelResponse, Prediction, TargetModel
+from .tree import ROOT, DraftNode, Source, SpineTree, tree_query
 
 __all__ = ["PathCategory", "WalkResult", "unified_greedy_walk", "linear_verify"]
 
@@ -29,8 +30,9 @@ class PathCategory:
 
 @dataclass(frozen=True)
 class WalkResult:
-    """Accepted root path, the bonus token, and the path's source category."""
+    """The verified tree, its accepted root path, bonus token and source category."""
 
+    tree: SpineTree
     accepted: tuple[int, ...]  # node indices along the accepted root path
     tokens: tuple[int, ...]    # accepted tokens followed by the bonus token
     bonus: int
@@ -95,6 +97,7 @@ def unified_greedy_walk(model: TargetModel, tree: SpineTree, base: Sequence[int]
     bonus = prediction(current).token
     tokens = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
     return WalkResult(
+        tree=tree,
         accepted=tuple(accepted),
         tokens=tokens,
         bonus=bonus,
@@ -109,33 +112,14 @@ def linear_verify(
     base: Sequence[int],
     source: Source = Source.CONTEXT,
 ) -> WalkResult:
-    """Verify a draft chain as a plain linear sequence in one model call.
+    """Verify a draft chain in one model call, as a tree whose spine is every node.
 
     Accepts the longest prefix where each chain token equals the greedy
     prediction at its predecessor; the bonus is the prediction at the last
     accepted position (so even a first-token mismatch yields one token).
     """
-    if not chain:
-        raise ValueError("chain must contain at least one token")
-    nodes = tuple((token, tuple(range(i))) for i, token in enumerate(chain))
-    response = model.score_tree(
-        ModelQuery(base=tuple(base), nodes=nodes, scored_from=len(base) - 1)
-    )
-    accepted = 0
-    prediction = response.base[-1]
-    while accepted < len(chain) and chain[accepted] == prediction.token:
-        prediction = response.nodes[accepted]
-        accepted += 1
-    category = PathCategory.EMPTY
-    if accepted:
-        category = (
-            PathCategory.PURE_CONTEXT if source is Source.CONTEXT else PathCategory.PURE_TRANSITION
-        )
-    tokens = tuple(chain[:accepted]) + (prediction.token,)
-    return WalkResult(
-        accepted=tuple(range(1, accepted + 1)),
-        tokens=tokens,
-        bonus=prediction.token,
-        category=category,
-        response=response,
-    )
+    if not chain or not base:
+        raise ValueError("chain and base must each contain at least one token")
+    nodes = [DraftNode(base[-1], Source.CONTEXT, ROOT, 0)]
+    nodes += [DraftNode(token, source, i, i + 1) for i, token in enumerate(chain)]
+    return unified_greedy_walk(model, SpineTree(nodes=nodes, spine=list(range(len(nodes)))), base)

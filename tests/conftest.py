@@ -49,9 +49,8 @@ class ScriptedModel:
         ]
         paths: list[tuple[int, ...]] = []
         node_preds: list[Prediction] = []
-        for token, ancestors in query.nodes:
-            parent_path = paths[ancestors[-1]] if ancestors else base
-            path = parent_path + (token,)
+        for token, parent in query.nodes:
+            path = (paths[parent] if parent >= 0 else base) + (token,)
             paths.append(path)
             node_preds.append(self._predict(path))
         return ModelResponse(base=tuple(base_preds), nodes=tuple(node_preds))
@@ -84,16 +83,3 @@ def brute_force_match(history, lengths=(3, 4, 5), max_chain=20):
     firsts = [c[0] for c in found.values()]
     consensus = any(firsts.count(f) >= 2 for f in set(firsts))
     return found[max(found)], consensus
-
-
-def closure_masks(tree):
-    """Ancestor sets recomputed by walking parent pointers per node."""
-    masks = []
-    for node in tree.nodes:
-        seen = set()
-        parent = node.parent
-        while parent != -1:
-            seen.add(parent)
-            parent = tree.nodes[parent].parent
-        masks.append(frozenset(seen))
-    return masks

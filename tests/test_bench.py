@@ -91,6 +91,15 @@ def test_losslessness_failure_reports_first_divergence(monkeypatch):
     assert err.value.prompt_id == 0
 
 
+def test_unknown_engine_fails_before_the_oracle_runs(monkeypatch):
+    def oracle_must_not_run(*_args):
+        raise AssertionError("ar_decode ran before the engine name was checked")
+
+    monkeypatch.setattr(bench, "ar_decode", oracle_must_not_run)
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_corpus(TINY, "turbo")
+
+
 def test_ablation_table_layout():
     rows = ablation_table(TINY)
     labels = [r["label"] for r in rows]

@@ -140,7 +140,15 @@ def test_missing_corpus_file_exits_nonzero(tmp_path: Path):
     assert main(["decode", "--corpus", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
 
 
-@pytest.mark.parametrize("config", ['{"spine_ratio_tiers": []}', '{"node_budget": "60"}'])
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"spine_ratio_tiers": []}',
+        '{"node_budget": "60"}',
+        '{"node_budget": 0}',
+        '{"spine_ratio_tiers": [[1.0, 1.0]]}',
+    ],
+)
 def test_bad_config_exits_before_decoding(
     corpus_file: Path, tmp_path: Path, config: str, capsys: pytest.CaptureFixture
 ):

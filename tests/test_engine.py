@@ -79,6 +79,24 @@ def test_config_rejects_unknown_keys():
         EngineConfig.from_json('{"节点": 3}'.replace("节点", "node_count"))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(node_budget=0),
+        dict(max_tree_depth=0),
+        dict(spine_branch_ratio=1.0),
+        dict(spine_ratio_tiers=((0.2, 0.15), (1.0, 1.0))),
+        dict(ema_init=1.5),
+        dict(ema_smoothing=0.0),
+    ],
+)
+def test_config_rejects_values_a_tree_cycle_would_reject(bad):
+    # Every engine would otherwise start decoding; iso with no budget would
+    # silently fall back to one token per call.
+    with pytest.raises(ValueError):
+        EngineConfig(**bad)
+
+
 # --- loop behavior ----------------------------------------------------------------
 
 

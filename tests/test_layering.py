@@ -1,9 +1,13 @@
 """Module layering that an import cannot check.
 
 ``import spinedec.theory`` runs the package ``__init__``, which loads every
-module, so only the source shows whether the theory toolkit depends on the
-decode engine or the benchmark layer. It must not: engine logs are joined to
-the theory in ``bench``.
+module, so only the source shows which modules one module depends on:
+
+- the theory toolkit must not depend on the decode engine or the benchmark
+  layer; engine logs are joined to the theory in ``bench``;
+- the draft query format belongs to ``models`` and ``tree``: ``models``
+  imports no other ``spinedec`` module, and ``tree`` and ``verify`` import
+  neither the engine nor the benchmark layer.
 """
 
 from __future__ import annotations
@@ -11,16 +15,39 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import spinedec
 
 
-def test_theory_imports_neither_engine_nor_bench():
-    source = Path(spinedec.__file__).with_name("theory.py").read_text()
-    imported: set[str] = set()
+def _spinedec_imports(module: str) -> set[str]:
+    """Names of the ``spinedec`` modules that ``spinedec/<module>.py`` imports."""
+    source = Path(spinedec.__file__).with_name(f"{module}.py").read_text()
+    found: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            imported.update(part for alias in node.names for part in alias.name.split("."))
+            names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.update((node.module or "").split("."))
-            imported.update(alias.name for alias in node.names)
-    assert not imported & {"engine", "bench"}
+            package = ".".join(filter(None, ("spinedec" if node.level else "", node.module or "")))
+            names = [package] + [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "spinedec":
+                found.add(parts[1] if len(parts) > 1 else "spinedec")
+    return found
+
+
+def test_theory_imports_neither_engine_nor_bench():
+    assert not _spinedec_imports("theory") & {"engine", "bench"}
+
+
+def test_models_imports_no_other_spinedec_module():
+    assert _spinedec_imports("models") == set()
+
+
+@pytest.mark.parametrize("module", ["tree", "verify"])
+def test_draft_layers_import_neither_engine_nor_bench(module):
+    assert _spinedec_imports(module)  # the scan sees their real imports
+    assert not _spinedec_imports(module) & {"engine", "bench"}

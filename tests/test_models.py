@@ -51,9 +51,9 @@ def test_prediction_is_a_pure_function_of_the_ancestor_path():
     ):
         model = build_synthetic(spec)
         base = (1, 2, 3)
-        lone = model.score_tree(ModelQuery(base=base, nodes=((5, ()), (7, (0,)))))
+        lone = model.score_tree(ModelQuery(base=base, nodes=((5, -1), (7, 0))))
         crowded = model.score_tree(
-            ModelQuery(base=base, nodes=((4, ()), (5, ()), (9, (1,)), (7, (1,))))
+            ModelQuery(base=base, nodes=((4, -1), (5, -1), (9, 1), (7, 1)))
         )
         assert lone.nodes[1] == crowded.nodes[3]
 
@@ -124,16 +124,17 @@ def test_out_of_vocabulary_token_is_an_input_error():
     with pytest.raises(ValueError):
         model.score_tree(ModelQuery(base=(1, VOCAB)))
     with pytest.raises(ValueError):
-        model.score_tree(ModelQuery(base=(1,), nodes=((VOCAB + 3, ()),)))
+        model.score_tree(ModelQuery(base=(1,), nodes=((VOCAB + 3, -1),)))
 
 
 def test_malformed_ancestor_lists_are_rejected():
     model = build_synthetic(SyntheticModelSpec("markov-order-2", 1, VOCAB))
     with pytest.raises(ValueError):
-        model.score_tree(ModelQuery(base=(1,), nodes=((2, (0,)),)))  # refers to itself
+        model.score_tree(ModelQuery(base=(1,), nodes=((2, 0),)))  # refers to itself
     with pytest.raises(ValueError):
-        # Ancestor list is not the parent's path plus the parent.
-        model.score_tree(ModelQuery(base=(1,), nodes=((2, ()), (3, ()), (4, (0, 1)))))
+        model.score_tree(ModelQuery(base=(1,), nodes=((2, -1), (3, 2))))  # a later node
+    with pytest.raises(ValueError):
+        model.score_tree(ModelQuery(base=(1,), nodes=((2, -2),)))  # below the base
 
 
 def test_vocab_too_small_is_an_input_error():

@@ -10,7 +10,7 @@ from spinedec.theory import verify_bound
 
 
 def _merged_stats(report) -> DecodeStats:
-    merged = DecodeStats(budget=report.config.node_budget)
+    merged = DecodeStats()
     for result in report.results:
         merged.records.extend(result.stats.records)
     return merged

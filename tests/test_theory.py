@@ -291,7 +291,7 @@ def test_verify_bound_accepts_engine_logs():
 def test_measure_heterogeneity_sentinels_and_errors():
     from spinedec.engine import CycleRecord, DecodeStats
 
-    stats = DecodeStats(budget=60)
+    stats = DecodeStats()
     with pytest.raises(ValueError):
         measure_heterogeneity(stats)
     stats.records.append(
@@ -312,7 +312,7 @@ def test_measure_heterogeneity_sentinels_and_errors():
 def test_measure_heterogeneity_undefined_when_source_never_offered():
     from spinedec.engine import CycleRecord, DecodeStats
 
-    stats = DecodeStats(budget=60)
+    stats = DecodeStats()
     stats.records.append(
         CycleRecord(kind="fallback", emitted=1, accepted_emitted=0, bonus_emitted=1, category="empty")
     )

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closure_masks
 from spinedec.adjacency import AdjacencyTable
+from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import synergy
 from spinedec.tree import (
     Source,
@@ -127,17 +127,6 @@ def test_branch_depth_never_exceeds_cap():
             assert depth_below <= budget.max_depth
 
 
-def test_ancestor_masks_chain_and_siblings():
-    tree = build_spine_tree(0, (1, 2), AdjacencyTable(), TreeBudget(budget=8), prev_token=None)
-    assert tree.ancestor_masks() == [frozenset(), frozenset({0}), frozenset({0, 1})]
-    table = AdjacencyTable()
-    table.harvest([((0,), [(5, 0.5), (6, 0.4)])])
-    tree = build_spine_tree(0, (), table, TreeBudget(budget=5), prev_token=None)
-    assert len(tree) == 3  # root + two branches; siblings see only the root
-    masks = tree.ancestor_masks()
-    assert masks[1] == masks[2] == frozenset({0})
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -169,8 +158,17 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len):
         key = (tree.nodes[i].parent, tree.nodes[i].token)
         assert key not in seen
         seen.add(key)
-    # Masks equal an independent transitive-closure walk.
-    assert tree.ancestor_masks() == closure_masks(tree)
+    # One scoring call predicts each node from exactly its root-to-node path.
+    model = build_synthetic(SyntheticModelSpec("template-repeater", seed, 24, 0.0))
+    base = (rng.randrange(24), tree.nodes[0].token)
+    response = model.score_tree(tree_query(tree, base))
+    for i in range(1, len(tree)):
+        path = []
+        node = i
+        while node != 0:
+            path.append(tree.nodes[node].token)
+            node = tree.nodes[node].parent
+        assert response.nodes[i - 1].token == model.greedy_next(base + tuple(reversed(path)))
     # Depth bookkeeping is consistent.
     for i in range(1, len(tree)):
         assert tree.nodes[i].depth == tree.nodes[tree.nodes[i].parent].depth + 1
@@ -183,10 +181,9 @@ def test_tree_query_remaps_ancestors_and_sets_scored_from():
     query = tree_query(tree, (9, 3))
     assert query.scored_from == 1
     assert query.base == (9, 3)
-    for (token, ancestors), index in zip(query.nodes, range(1, len(tree))):
-        assert token == tree.nodes[index].token
-        expected = tuple(a - 1 for a in sorted(tree.ancestor_masks()[index]) if a != 0)
-        assert ancestors == expected
+    assert len(query.nodes) == len(tree) - 1
+    for (token, parent), node in zip(query.nodes, tree.nodes[1:]):
+        assert (token, parent) == (node.token, node.parent - 1)
 
 
 def test_tree_query_requires_anchor_as_last_base_token():

@@ -15,7 +15,7 @@ def manual_tree(anchor: int, spec: list[tuple[int, Source, int]]) -> SpineTree:
     spine = [0] + [
         i for i, n in enumerate(nodes) if i > 0 and n.source is Source.CONTEXT
     ]
-    return SpineTree(nodes=nodes, spine=spine, budget=len(nodes))
+    return SpineTree(nodes=nodes, spine=spine)
 
 
 # --- linear verification -------------------------------------------------------
