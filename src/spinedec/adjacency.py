@@ -34,6 +34,8 @@ class AdjacencyTable:
     def __init__(self, top_k: int = DEFAULT_TOP_K, min_score: float = MIN_SCORE):
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if not (0.0 <= min_score <= 1.0):
+            raise ValueError(f"min_score must lie in [0, 1], got {min_score}")
         self.top_k = top_k
         self.min_score = min_score
         self.unigram: dict[int, Entries] = {}

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .engine import DecodeStats, EngineConfig, decode
-from .models import SyntheticModelSpec, ar_decode, build_synthetic
+from .models import SyntheticModelSpec, ar_decode, build_synthetic, check_field_types, fields_from_json
 from .theory import BoundSetting
 
 __all__ = [
@@ -74,6 +74,7 @@ class CorpusSpec:
     max_tokens: int
 
     def __post_init__(self):
+        check_field_types(self)
         if self.prompts < 1 or self.prompt_len < 1 or self.max_tokens < 0:
             raise ValueError("corpus counts must be positive")
 
@@ -82,14 +83,8 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
-        raw = json.loads(text)
-        return cls(
-            name=raw["name"],
-            model=SyntheticModelSpec.from_json(json.dumps(raw["model"])),
-            prompts=int(raw["prompts"]),
-            prompt_len=int(raw["prompt_len"]),
-            max_tokens=int(raw["max_tokens"]),
-        )
+        raw = fields_from_json(cls, text)
+        return cls(**{**raw, "model": SyntheticModelSpec.from_json(json.dumps(raw["model"]))})
 
 
 def prompts_for(spec: CorpusSpec) -> list[tuple[int, ...]]:

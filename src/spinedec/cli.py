@@ -1,8 +1,8 @@
 """Command-line front end: corpus generation, decoding, ablation, theory.
 
 All outputs are deterministic functions of the arguments; CSV column orders
-are fixed. Exit status is nonzero when any engine output diverges from the
-autoregressive reference.
+are fixed. Bad input exits 1 before any decoding; exit 2 means an engine's
+output diverged from the autoregressive reference.
 """
 
 from __future__ import annotations
@@ -86,11 +86,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     toggles = {f: True for f in ABLATION_FLAGS if getattr(args, f)}
     if toggles:
         config = replace(config, **toggles)
-    try:
-        report = run_corpus(spec, args.engine, config, jobs=args.jobs)
-    except LosslessnessError as err:
-        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-        return 2
+    report = run_corpus(spec, args.engine, config, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
@@ -116,11 +112,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 def _cmd_ablate(args: argparse.Namespace) -> int:
     spec = CorpusSpec.from_json(Path(args.corpus).read_text())
     config = _load_config(args.config)
-    try:
-        rows = ablation_table(spec, config, jobs=args.jobs)
-    except LosslessnessError as err:
-        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-        return 2
+    rows = ablation_table(spec, config, jobs=args.jobs)
     _write_csv(
         args.out,
         ("label", "mean_tau", "median_tau", "delta_rel"),
@@ -200,11 +192,7 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     for corpus_path in args.corpus or []:
         spec = CorpusSpec.from_json(Path(corpus_path).read_text())
-        try:
-            report = run_corpus(spec, "spine", config, jobs=args.jobs)
-        except LosslessnessError as err:
-            print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
-            return 2
+        report = run_corpus(spec, "spine", config, jobs=args.jobs)
         for result in report.results:
             settings.append(
                 setting_from_stats(f"{spec.name}/{result.prompt_id}", result.stats, config)
@@ -314,6 +302,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except LosslessnessError as err:
+        print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
+        return 2
     except (ValueError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

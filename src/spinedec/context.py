@@ -47,6 +47,8 @@ class ContextIndex:
         lens = sorted(set(int(n) for n in lengths))
         if not lens or lens[0] < 1:
             raise ValueError("ngram lengths must be a non-empty set of positive ints")
+        if max_chain < 1:
+            raise ValueError(f"max chain must be >= 1, got {max_chain}")
         self._lengths = tuple(lens)
         self._max_chain = max_chain
         self._tokens: list[int] = []

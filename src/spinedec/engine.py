@@ -7,9 +7,11 @@ all, the cycle degrades to a single autoregressive step. Every scored
 position, including rejected branches, is harvested into the adjacency table,
 and an EMA of spine acceptance retunes the spine ratio each cycle.
 
-The context, transition and iso-k baselines run the same loop with config
-overrides and another tree kind (``_ENGINES``), so all engines share one
-verification path. Output is provably identical to plain greedy decoding: a
+The context, transition, iso-k and AR baselines run the same loop with config
+overrides and another tree kind (``_ENGINES``); AR is the policy with no draft
+source, so each of its cycles is the single-step fallback. All engines share
+one verification path, and none calls ``ar_decode``, the oracle they are
+checked against. Output is provably identical to plain greedy decoding: a
 token is only ever emitted after the target model predicted it at its exact
 position.
 """
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 from .adjacency import AdjacencyTable
-from .context import ContextIndex
-from .models import ModelQuery, TargetModel, TokenSequence, ar_decode
+from .context import ContextIndex, MatchResult
+from .models import ModelQuery, TargetModel, TokenSequence, check_field_types, fields_from_json, is_kind
 from .tree import Source, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
 
@@ -66,20 +68,30 @@ class EngineConfig:
     control_swap_sources: bool = False
 
     def __post_init__(self):
-        """Reject values that would otherwise fail mid-decode with a raw traceback.
+        """Reject values that would fail mid-decode or decode silently.
 
-        Every tier's tree budget and the initial EMA are built once here, so
-        their own range checks run before any decoding.
+        Every tier's tree budget, the initial EMA, the context index and the
+        adjacency table are built once here, so their own checks run first.
         """
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ValueError(f"{f.name} must be an int, got {value!r}")
-        if not self.spine_ratio_tiers:
-            raise ValueError("spine_ratio_tiers must not be empty")
+        check_field_types(self)
+        lengths, tiers = self.ngram_lengths, self.spine_ratio_tiers
+        if not isinstance(lengths, tuple) or not all(is_kind(n, "int") for n in lengths):
+            raise ValueError(f"ngram_lengths must be a tuple of ints, got {lengths!r}")
+        if not tiers or not isinstance(tiers, tuple) or not all(
+            isinstance(t, tuple) and len(t) == 2 and all(is_kind(x, "float") for x in t) for t in tiers
+        ):
+            raise ValueError(f"spine_ratio_tiers must be (bound, ratio) number pairs, got {tiers!r}")
+        object.__setattr__(self, "spine_ratio_tiers", tuple((float(b), float(r)) for b, r in tiers))
+        bounds = [b for b, _ratio in self.spine_ratio_tiers]
+        if bounds != sorted(set(bounds)) or not 0.0 <= bounds[0] <= bounds[-1] <= 1.0:
+            raise ValueError(f"spine_ratio_tiers bounds must ascend within [0, 1], got {bounds}")
+        if self.bypass_threshold < 1:
+            raise ValueError(f"bypass_threshold must be >= 1, got {self.bypass_threshold}")
         for _bound, ratio in self.spine_ratio_tiers:
             self.tree_budget(ratio)
         self.ema_state()
+        self.context_index(())
+        self.adjacency_table()
 
     def tree_budget(self, spine_ratio: float) -> TreeBudget:
         return TreeBudget(
@@ -92,23 +104,18 @@ class EngineConfig:
     def ema_state(self) -> EmaState:
         return EmaState(value=self.ema_init, alpha=self.ema_smoothing)
 
+    def context_index(self, tokens: Sequence[int]) -> ContextIndex:
+        return ContextIndex(tokens, lengths=self.ngram_lengths, max_chain=self.max_spine_continuation)
+
+    def adjacency_table(self) -> AdjacencyTable:
+        return AdjacencyTable(top_k=self.transition_top_k, min_score=self.min_score_threshold)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "EngineConfig":
-        raw = json.loads(text)
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "ngram_lengths" in raw:
-            raw["ngram_lengths"] = tuple(int(n) for n in raw["ngram_lengths"])
-        if "spine_ratio_tiers" in raw:
-            raw["spine_ratio_tiers"] = tuple(
-                (float(b), float(r)) for b, r in raw["spine_ratio_tiers"]
-            )
-        return cls(**raw)
+        return cls(**fields_from_json(cls, text))
 
 
 @dataclass(frozen=True)
@@ -185,18 +192,11 @@ class DecodeStats:
 
     @property
     def cycle_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            counts[r.kind] = counts.get(r.kind, 0) + 1
-        return counts
+        return dict(Counter(r.kind for r in self.records))
 
     @property
     def category_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for r in self.records:
-            if r.kind != "prefill":
-                counts[r.category] = counts.get(r.category, 0) + 1
-        return counts
+        return dict(Counter(r.category for r in self.records if r.kind != "prefill"))
 
     @property
     def offered_by_source(self) -> dict[str, int]:
@@ -246,10 +246,8 @@ class _Run:
         self.max_tokens = max_tokens
         self.history: list[int] = list(prompt)
         self.out: list[int] = []
-        self.table = AdjacencyTable(top_k=config.transition_top_k, min_score=config.min_score_threshold)
-        self.index = ContextIndex(
-            prompt, lengths=config.ngram_lengths, max_chain=config.max_spine_continuation
-        )
+        self.table = config.adjacency_table()
+        self.index = config.context_index(prompt)
         self.stats = DecodeStats()
         self.ema = config.ema_state()
 
@@ -332,50 +330,42 @@ def _decode_loop(
         return TokenSequence(tokens=()), run.stats
     _ar_step(run, "prefill", 0)
     use_bigram = not config.disable_bigram
-    use_context = not config.disable_spine
 
     while not run.done:
         anchor = run.history[-1]
         prev = run.history[-2]
-        match = run.index.match() if use_context else None
-        chain = match.chain if match else ()
-        consensus = match.consensus if match else False
+        match = MatchResult() if config.disable_spine else run.index.match()
+        # The spine's draft is the matched chain or, under the source-swap
+        # control, a table walk of the same length.
+        draft, source = match.chain, Source.CONTEXT
+        if config.control_swap_sources and match.chain:
+            draft = _table_chain(run.table, prev, anchor, len(match.chain), use_bigram)
+            source = Source.TRANSITION
 
         # Bypass: a long or consensus-backed match is verified linearly.
         if (
             not config.disable_bypass
-            and chain
-            and (len(chain) >= config.bypass_threshold or consensus)
+            and draft
+            and (len(match.chain) >= config.bypass_threshold or match.consensus)
         ):
-            verify_chain: tuple[int, ...] = chain
-            source = Source.CONTEXT
-            if config.control_swap_sources:
-                verify_chain = _table_chain(run.table, prev, anchor, len(chain), use_bigram)
-                source = Source.TRANSITION
-            if verify_chain:
-                _finish_walk(run, "bypass", linear_verify(model, verify_chain, run.history, source=source))
-                continue
+            _finish_walk(run, "bypass", linear_verify(model, draft, run.history, source=source))
+            continue
 
         # Tree: any available draft source fills the node budget.
         if tree_kind is not None and (
-            chain or run.table.has_successors(prev, anchor, use_bigram=use_bigram)
+            match.chain or run.table.has_successors(prev, anchor, use_bigram=use_bigram)
         ):
             if tree_kind == "iso":
                 tree = build_iso_tree(
-                    anchor, fanout, config.node_budget, chain, run.table,
+                    anchor, fanout, config.node_budget, match.chain, run.table,
                     prev_token=prev, use_bigram=use_bigram,
                 )
             else:
                 ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
-                spine_chain: tuple[int, ...] = chain
-                spine_source = Source.CONTEXT
-                if config.control_swap_sources and chain:
-                    spine_chain = _table_chain(run.table, prev, anchor, len(chain), use_bigram)
-                    spine_source = Source.TRANSITION
                 tree = build_spine_tree(
-                    anchor, spine_chain, run.table, config.tree_budget(ratio),
+                    anchor, draft, run.table, config.tree_budget(ratio),
                     prev_token=prev,
-                    spine_source=spine_source,
+                    spine_source=source,
                     spine_branches=not config.disable_spine_branches,
                     use_bigram=use_bigram,
                 )
@@ -388,25 +378,9 @@ def _decode_loop(
     return TokenSequence(tokens=tuple(run.out)), run.stats
 
 
-def _ar_loop(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> tuple[TokenSequence, DecodeStats]:
-    sequence = ar_decode(model, prompt, max_tokens)
-    stats = DecodeStats()
-    for i, _token in enumerate(sequence.tokens):
-        stats.records.append(
-            CycleRecord(
-                kind="prefill" if i == 0 else "fallback",
-                emitted=1,
-                accepted_emitted=0,
-                bonus_emitted=1,
-                category=PathCategory.EMPTY,
-            )
-        )
-    return sequence, stats
-
-
-# Every engine but ``ar`` is the loop above under a route policy: config
-# overrides plus the tree it builds ("spine", "iso" with the fan-out taken
-# from the name, or None for no tree route).
+# Every engine is the loop above under a route policy: config overrides plus
+# the tree it builds ("spine", "iso" with the fan-out taken from the name, or
+# None for no tree route).
 _ENGINES: dict[str, tuple[dict[str, object], str | None]] = {
     "spine": ({}, "spine"),
     # N-gram match plus linear verification only: every match is bypassed.
@@ -418,6 +392,8 @@ _ENGINES: dict[str, tuple[dict[str, object], str | None]] = {
     "transition": (dict(disable_spine=True, disable_bypass=True), "spine"),
     # Balanced k-ary tree over the same candidate pool.
     "iso": (dict(disable_bypass=True), "iso"),
+    # No draft source at all: every cycle after prefill is one AR step.
+    "ar": (dict(disable_spine=True, disable_bypass=True), None),
 }
 
 
@@ -432,8 +408,6 @@ def decode(
 
     Output equals ``ar_decode`` exactly for every engine.
     """
-    if engine == "ar":
-        return _ar_loop(model, prompt, max_tokens)
     kind, fanout = engine, 0
     if engine.startswith("iso") and engine[3:].isdigit():
         kind, fanout = "iso", int(engine[3:])

@@ -1,4 +1,4 @@
-"""Deterministic target models and the autoregressive reference decoder.
+"""Deterministic target models, the autoregressive reference, and spec JSON checks.
 
 The verification oracle for everything in this package is a *target model*:
 a deterministic greedy next-token function that can score a whole draft tree
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import NamedTuple, Protocol, Sequence
 
 __all__ = [
@@ -109,27 +109,70 @@ class TargetModel(Protocol):
     def greedy_next(self, base: Sequence[int]) -> int: ...
 
 
+_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def is_kind(value: object, kind: str) -> bool:
+    """Whether ``value`` is a JSON scalar of ``kind``; a bool is not a number."""
+    return isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+
+
+def check_field_types(spec: object) -> None:
+    """Reject a dataclass whose int, float, bool or str fields hold another type.
+
+    An int is a valid float and is stored as one, so a spec serialises alike.
+    """
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.type in _KINDS:
+            if not is_kind(value, f.type):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if f.type == "float":
+                object.__setattr__(spec, f.name, float(value))
+
+
+def fields_from_json(cls: type, text: str) -> dict:
+    """Parse a JSON object that names every required field of ``cls`` and no other.
+
+    JSON arrays, nested ones too, come back as tuples.
+    """
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{cls.__name__} JSON must be an object, got {raw!r}")
+    names = {f.name for f in fields(cls)}
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    wrong = {"unknown": sorted(set(raw) - names), "missing": sorted(required - set(raw))}
+    if any(wrong.values()):
+        raise ValueError(f"{cls.__name__} JSON: " + ", ".join(f"{k} keys {v}" for k, v in wrong.items() if v))
+    return {key: _tuples(value) for key, value in raw.items()}
+
+
+def _tuples(value: object) -> object:
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
 @dataclass(frozen=True)
 class SyntheticModelSpec:
-    """Seeded description of a synthetic model; same spec, same behavior."""
+    """Seeded description of a synthetic model; same spec, same behavior.
+
+    Construction builds the model once, so its own checks reject a bad spec.
+    """
 
     kind: str  # "markov-order-2" | "template-repeater"
     seed: int
     vocab: int
     repetition: float = 0.0
 
+    def __post_init__(self):
+        check_field_types(self)
+        build_synthetic(self)
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticModelSpec":
-        raw = json.loads(text)
-        return cls(
-            kind=raw["kind"],
-            seed=int(raw["seed"]),
-            vocab=int(raw["vocab"]),
-            repetition=float(raw.get("repetition", 0.0)),
-        )
+        return cls(**fields_from_json(cls, text))
 
 
 class _SyntheticModel:
@@ -320,8 +363,6 @@ class TemplateRepeaterModel(_SyntheticModel):
 
 def build_synthetic(spec: SyntheticModelSpec) -> TargetModel:
     """Construct a deterministic synthetic model from its spec."""
-    if spec.vocab < 2:
-        raise ValueError(f"vocabulary size must be >= 2, got {spec.vocab}")
     if spec.kind == "markov-order-2":
         return MarkovModel(seed=spec.seed, vocab_size=spec.vocab)
     if spec.kind == "template-repeater":

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tree import linear_allocation
+from .tree import iso_levels, linear_allocation
 
 __all__ = [
     "AcceptanceModel",
@@ -249,16 +249,10 @@ def monte_carlo_yield(
 def iso_yield(fanout: int, budget: int, p_t: float) -> float:
     """Expected tokens per call for a balanced k-ary single-rate tree.
 
-    Complete levels only: depth is the largest D with sum(k^d, d<=D) <= budget;
-    each level advances with probability ``1 - (1-p_t)^k``.
+    Complete levels only (``tree.iso_levels``); each level advances with
+    probability ``1 - (1-p_t)^k``.
     """
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
-    levels = 0
-    total = 0
-    while total + fanout ** (levels + 1) <= budget:
-        levels += 1
-        total += fanout**levels
+    levels, _total = iso_levels(fanout, budget)
     q = 1.0 - (1.0 - p_t) ** fanout
     return sum(q**d for d in range(1, levels + 1)) + 1.0
 
@@ -407,22 +401,14 @@ def verify_bound(
     rows: list[BoundRow] = []
     for i, setting in enumerate(settings):
         widths = _bound_widths(setting)
-        report = spine_yield(
-            AcceptanceModel(p_s=setting.p_s, p_t=setting.p_t),
-            TreeShape(m=setting.m, widths=widths, depth=setting.depth,
-                      budget=max(setting.budget, setting.m + sum(widths))),
-        )
+        model = AcceptanceModel(p_s=setting.p_s, p_t=setting.p_t)
+        shape = TreeShape(m=setting.m, widths=widths, depth=setting.depth,
+                          budget=max(setting.budget, setting.m + sum(widths)))
+        report = spine_yield(model, shape)
         tau_meas, stderr = setting.tau_meas, setting.stderr
         if tau_meas is None:
-            shape = TreeShape(
-                m=setting.m, widths=widths, depth=setting.depth,
-                budget=max(setting.budget, setting.m + sum(widths)),
-            )
             tau_meas, stderr = monte_carlo_yield(
-                AcceptanceModel(p_s=setting.p_s, p_t=setting.p_t),
-                spine_shape_tree(shape),
-                trials=trials,
-                seed=seed + i,
+                model, spine_shape_tree(shape), trials=trials, seed=seed + i
             )
         rows.append(
             BoundRow(

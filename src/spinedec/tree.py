@@ -28,6 +28,7 @@ __all__ = [
     "SpineTree",
     "build_spine_tree",
     "build_iso_tree",
+    "iso_levels",
     "linear_allocation",
     "tree_query",
 ]
@@ -245,18 +246,12 @@ def build_iso_tree(
 ) -> SpineTree:
     """Balanced k-ary baseline tree over the same candidate pool.
 
-    Levels are filled completely: the depth limit is the largest D with
-    ``sum(k^d, d=1..D) <= budget`` and leftover budget stays unused. At each
-    node the candidate pool is the context-match continuation (when the node
-    sits on the matched chain) followed by table successors, by score.
+    Levels are filled completely (``iso_levels``) and leftover budget stays
+    unused. At each node the candidate pool is the context-match continuation
+    (when the node sits on the matched chain) followed by table successors,
+    by score.
     """
-    if fanout < 1:
-        raise ValueError("fanout must be >= 1")
-    levels = 0
-    total = 0
-    while total + fanout ** (levels + 1) <= node_budget:
-        levels += 1
-        total += fanout**levels
+    levels, total = iso_levels(fanout, node_budget)
     b = _Builder(anchor, total + 1)  # + root, which the level budget excludes
 
     # Track which node continues the matched chain (path == chain[:depth]).
@@ -285,6 +280,17 @@ def build_iso_tree(
                 next_frontier.append(index)
         frontier = next_frontier
     return SpineTree(nodes=b.nodes, spine=[0], children=b.children)
+
+
+def iso_levels(fanout: int, budget: int) -> tuple[int, int]:
+    """Complete k-ary levels: the largest D with ``sum(k^d, d=1..D) <= budget``, and that sum."""
+    if fanout < 1:
+        raise ValueError("fanout must be >= 1")
+    levels = total = 0
+    while total + fanout ** (levels + 1) <= budget:
+        levels += 1
+        total += fanout**levels
+    return levels, total
 
 
 def linear_allocation(p_s: float, p_t: float, m: int, branch_budget: int) -> list[int]:

@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+import spinedec.bench as bench
+import spinedec.cli as cli
 from spinedec.cli import main
+from spinedec.models import TokenSequence
 from spinedec.theory import AcceptanceModel, TreeShape, spine_yield
 from spinedec.tree import linear_allocation
 
@@ -140,6 +143,16 @@ def test_missing_corpus_file_exits_nonzero(tmp_path: Path):
     assert main(["decode", "--corpus", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.fixture
+def no_decoding(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Fail the test if the CLI reaches ``run_corpus``: bad input must stop first."""
+
+    def run_corpus_must_not_run(*_args, **_kwargs):
+        raise AssertionError("run_corpus was called on bad input")
+
+    monkeypatch.setattr(cli, "run_corpus", run_corpus_must_not_run)
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -147,10 +160,22 @@ def test_missing_corpus_file_exits_nonzero(tmp_path: Path):
         '{"node_budget": "60"}',
         '{"node_budget": 0}',
         '{"spine_ratio_tiers": [[1.0, 1.0]]}',
+        '{"ngram_lengths": 3}',
+        '{"ngram_lengths": [0]}',
+        '{"ema_init": "x"}',
+        '{"disable_bypass": "yes"}',
+        '{"bypass_threshold": -3}',
+        '{"max_spine_continuation": 0}',
+        '{"min_score_threshold": 2}',
+        '{"transition_top_k": 0}',
+        '{"spine_ratio_tiers": [[0.4, 0.3], [0.2, 0.15], [1.0, 0.5]]}',
+        '{"spine_ratio_tiers": [[0.2, 0.15], [1.5, 0.5]]}',
+        '{"node_count": 3}',
+        '[60]',
     ],
 )
 def test_bad_config_exits_before_decoding(
-    corpus_file: Path, tmp_path: Path, config: str, capsys: pytest.CaptureFixture
+    corpus_file: Path, tmp_path: Path, config: str, capsys: pytest.CaptureFixture, no_decoding
 ):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
@@ -158,3 +183,70 @@ def test_bad_config_exits_before_decoding(
     assert main(["decode", "--corpus", str(corpus_file), "--out", str(out), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def _edit(path: str, value=None):
+    """An edit of the corpus JSON: set ``a.b`` to ``value``, or drop it when None."""
+
+    def apply(raw: dict) -> None:
+        *parents, key = path.split(".")
+        for parent in parents:
+            raw = raw[parent]
+        if value is None:
+            del raw[key]
+        else:
+            raw[key] = value
+
+    return apply
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(_edit("max_tokens"), id="missing-max_tokens"),
+        pytest.param(_edit("temperature", 0.7), id="unknown-key"),
+        pytest.param(_edit("prompts", "8"), id="prompts-string"),
+        pytest.param(_edit("prompts", True), id="prompts-bool"),
+        pytest.param(_edit("name", 3), id="name-int"),
+        pytest.param(_edit("model", "template-repeater"), id="model-not-object"),
+        pytest.param(_edit("model.kind"), id="missing-model-kind"),
+        pytest.param(_edit("model.temperature", 0.7), id="unknown-model-key"),
+        pytest.param(_edit("model.seed", [1]), id="model-seed-list"),
+        pytest.param(_edit("model.kind", "gpt"), id="unknown-model-kind"),
+        pytest.param(_edit("model.repetition", 1.5), id="repetition-above-one"),
+    ],
+)
+def test_bad_corpus_exits_before_decoding(
+    corpus_file: Path, tmp_path: Path, edit, capsys: pytest.CaptureFixture, no_decoding
+):
+    raw = json.loads(corpus_file.read_text())
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["decode", "--corpus", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["decode", "--out", "{tmp}/out"], ["ablate"], ["theory", "verify-bound", "--trials", "10"]],
+)
+def test_lossless_violation_exits_two(
+    corpus_file: Path, tmp_path: Path, command, monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture,
+):
+    real_decode = bench.decode
+
+    def broken_decode(engine, model, prompt, max_tokens, config):
+        sequence, stats = real_decode(engine, model, prompt, max_tokens, config)
+        tampered = list(sequence.tokens)
+        tampered[5] = (tampered[5] + 1) % 7
+        return TokenSequence(tokens=tuple(tampered)), stats
+
+    monkeypatch.setattr(bench, "decode", broken_decode)
+    args = [arg.format(tmp=tmp_path) for arg in command] + ["--corpus", str(corpus_file)]
+    assert main(args) == 2
+    assert "LOSSLESSNESS VIOLATION: prompt 0: first divergence at position 5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

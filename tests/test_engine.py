@@ -97,6 +97,39 @@ def test_config_rejects_values_a_tree_cycle_would_reject(bad):
         EngineConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(ngram_lengths=3),
+        dict(ngram_lengths=(True, 3)),
+        dict(ngram_lengths=(0, 3)),
+        dict(ema_init="x"),
+        dict(disable_bypass="yes"),
+        dict(bypass_threshold=-3),
+        dict(max_spine_continuation=0),
+        dict(min_score_threshold=1.5),
+        dict(transition_top_k=0),
+        dict(spine_ratio_tiers=((0.4, 0.30), (0.2, 0.15), (1.0, 0.50))),
+        dict(spine_ratio_tiers=((0.2, 0.15), (0.2, 0.30), (1.0, 0.50))),
+        dict(spine_ratio_tiers=((0.2, 0.15), (1.5, 0.50))),
+        dict(spine_ratio_tiers=((0.2,),)),
+    ],
+)
+def test_config_rejects_malformed_values(bad):
+    # Each of these used to raise TypeError, or to decode silently.
+    with pytest.raises(ValueError):
+        EngineConfig(**bad)
+
+
+def test_config_json_stores_numbers_as_their_field_types():
+    loaded = EngineConfig.from_json(
+        '{"spine_ratio_tiers": [[0.2, 0.15], [0.4, 0.3], [1, 0.5]], "ema_init": 0}'
+    )
+    expected = replace(EngineConfig(), ema_init=0.0)
+    assert loaded == expected
+    assert loaded.to_json() == expected.to_json()
+
+
 # --- loop behavior ----------------------------------------------------------------
 
 
@@ -223,6 +256,21 @@ def test_unknown_engine_kind_rejected():
         decode("turbo", make_model("markov-order-2"), (1,), 4)
 
 
+def test_ar_engine_scores_through_the_loop_not_the_oracle():
+    # ``ar`` is the route policy with no draft source, so it reaches the model
+    # only through score_tree and never through the oracle's greedy_next.
+    model = make_model("template-repeater", repetition=0.5)
+
+    def oracle_must_not_run(_base):
+        raise AssertionError("decode('ar') called greedy_next")
+
+    model.greedy_next = oracle_must_not_run
+    out, stats = decode("ar", model, (2, 9, 4), 60)
+    reference = ar_decode(make_model("template-repeater", repetition=0.5), (2, 9, 4), 60)
+    assert out.tokens == reference.tokens
+    assert [r.kind for r in stats.records] == ["prefill"] + ["fallback"] * 59
+
+
 def test_ar_engine_tau_is_exactly_one():
     model = make_model("markov-order-2")
     out, stats = decode("ar", model, (1, 2, 3), 50)
@@ -230,7 +278,7 @@ def test_ar_engine_tau_is_exactly_one():
     assert stats.model_calls == len(out.tokens) == 50
 
 
-@pytest.mark.parametrize("engine", ["spine", "context", "transition", "iso3", "iso5"])
+@pytest.mark.parametrize("engine", ["spine", "context", "transition", "iso3", "iso5", "ar"])
 @pytest.mark.parametrize(
     "kind,rep", [("markov-order-2", 0.0), ("template-repeater", 0.5), ("template-repeater", 0.9)]
 )

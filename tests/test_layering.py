@@ -7,7 +7,9 @@ module, so only the source shows which modules one module depends on:
   layer; engine logs are joined to the theory in ``bench``;
 - the draft query format belongs to ``models`` and ``tree``: ``models``
   imports no other ``spinedec`` module, and ``tree`` and ``verify`` import
-  neither the engine nor the benchmark layer.
+  neither the engine nor the benchmark layer;
+- the engine never names ``ar_decode``: every engine, ``ar`` included, is
+  checked against that oracle, so none may be built on it.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import pytest
 import spinedec
 
 
+def _tree(module: str) -> ast.Module:
+    return ast.parse(Path(spinedec.__file__).with_name(f"{module}.py").read_text())
+
+
 def _spinedec_imports(module: str) -> set[str]:
     """Names of the ``spinedec`` modules that ``spinedec/<module>.py`` imports."""
-    source = Path(spinedec.__file__).with_name(f"{module}.py").read_text()
     found: set[str] = set()
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -51,3 +56,13 @@ def test_models_imports_no_other_spinedec_module():
 def test_draft_layers_import_neither_engine_nor_bench(module):
     assert _spinedec_imports(module)  # the scan sees their real imports
     assert not _spinedec_imports(module) & {"engine", "bench"}
+
+
+def test_engine_does_not_name_the_oracle():
+    names = set()
+    for node in ast.walk(_tree("engine")):
+        for attr in ("id", "attr", "name"):  # names, attributes, imports, definitions
+            if isinstance(getattr(node, attr, None), str):
+                names.add(getattr(node, attr))
+    assert "decode" in names  # the scan sees the engine's own definitions
+    assert "ar_decode" not in names

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from spinedec.adjacency import AdjacencyTable
 from spinedec.models import SyntheticModelSpec, build_synthetic
-from spinedec.theory import synergy
+from spinedec.theory import iso_yield, synergy
 from spinedec.tree import (
     Source,
     TreeBudget,
     build_iso_tree,
     build_spine_tree,
+    iso_levels,
     linear_allocation,
     tree_query,
 )
@@ -239,6 +240,19 @@ def test_iso_tree_places_chain_tokens_first():
 def test_iso_fanout_validation():
     with pytest.raises(ValueError):
         build_iso_tree(0, 0, 10, (), AdjacencyTable())
+    with pytest.raises(ValueError):
+        iso_levels(0, 10)
+
+
+@pytest.mark.parametrize("fanout,budget", [(1, 5), (2, 14), (3, 60), (5, 60), (7, 6)])
+def test_iso_tree_and_iso_yield_share_one_level_count(fanout, budget):
+    levels, total = iso_levels(fanout, budget)
+    assert total == sum(fanout**d for d in range(1, levels + 1)) <= budget
+    assert total + fanout ** (levels + 1) > budget
+    tree = build_iso_tree(0, fanout, budget, (), saturated_table(), prev_token=1)
+    assert len(tree) - 1 == total
+    assert max(node.depth for node in tree.nodes) == levels
+    assert iso_yield(fanout, budget, 1.0) == levels + 1  # p_t = 1 accepts every level
 
 
 # --- depth-linear allocation --------------------------------------------------
