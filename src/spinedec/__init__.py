@@ -42,7 +42,6 @@ from .models import (
 )
 from .theory import (
     AcceptanceModel,
-    TaggedTree,
     TreeShape,
     YieldReport,
     best_iso_yield,

@@ -23,7 +23,7 @@ from .bench import (
     setting_from_stats,
 )
 from .engine import ENGINE_KINDS, EngineConfig
-from .models import SyntheticModelSpec
+from .models import SyntheticModelSpec, fields_from_json
 from .theory import (
     AcceptanceModel,
     BoundSetting,
@@ -188,22 +188,27 @@ def _cmd_theory_dominance(args: argparse.Namespace) -> int:
 
 
 def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
-    settings: list[BoundSetting] = []
+    if args.iso_fanout < 1 or args.trials < 1:
+        raise ValueError(f"--iso-fanout and --trials must be >= 1, got {args.iso_fanout}, {args.trials}")
     config = _load_config(args.config)
-    for corpus_path in args.corpus or []:
-        spec = CorpusSpec.from_json(Path(corpus_path).read_text())
+    specs = [CorpusSpec.from_json(Path(path).read_text()) for path in args.corpus or []]
+    raw = json.loads(Path(args.settings).read_text()) if args.settings else []
+    if not isinstance(raw, list):
+        raise ValueError(f"settings JSON must be a list of objects, got {raw!r}")
+    explicit = [BoundSetting(**fields_from_json(BoundSetting, json.dumps(entry))) for entry in raw]
+    if not specs and not explicit:
+        print("no settings: pass --corpus and/or --settings", file=sys.stderr)
+        return 1
+    settings: list[BoundSetting] = []
+    for spec in specs:
         report = run_corpus(spec, "spine", config, jobs=args.jobs)
         for result in report.results:
             settings.append(
                 setting_from_stats(f"{spec.name}/{result.prompt_id}", result.stats, config)
             )
-    if args.settings:
-        for raw in json.loads(Path(args.settings).read_text()):
-            settings.append(BoundSetting(**raw))
-    if not settings:
-        print("no settings: pass --corpus and/or --settings", file=sys.stderr)
-        return 1
-    report = verify_bound(settings, iso_fanout=args.iso_fanout, trials=args.trials, seed=args.seed)
+    report = verify_bound(
+        settings + explicit, iso_fanout=args.iso_fanout, trials=args.trials, seed=args.seed
+    )
     _write_csv(
         args.out,
         VERIFY_BOUND_COLUMNS,

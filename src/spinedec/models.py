@@ -120,14 +120,16 @@ def is_kind(value: object, kind: str) -> bool:
 def check_field_types(spec: object) -> None:
     """Reject a dataclass whose int, float, bool or str fields hold another type.
 
-    An int is a valid float and is stored as one, so a spec serialises alike.
+    A field typed ``<kind> | None`` may also hold None. An int is a valid float
+    and is stored as one, so a spec serialises alike.
     """
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if f.type in _KINDS:
-            if not is_kind(value, f.type):
+        kind = f.type.removesuffix(" | None")
+        if kind in _KINDS and not (value is None and kind != f.type):
+            if not is_kind(value, kind):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if f.type == "float":
+            if kind == "float":
                 object.__setattr__(spec, f.name, float(value))
 
 

@@ -11,9 +11,10 @@ bounded below by
 
 with ``phi(w) = 1 - (1-p_t)^w`` and ``ell_bar = sum_{k=1..D-1} p_t^k``. The
 bound is tight when branches extend as independent chains. This module
-evaluates the bound, simulates the acceptance process directly to validate it,
-computes balanced k-ary ("isotropic") reference yields, and scans for spine-
-over-isotropic dominance.
+evaluates the bound, simulates the acceptance process directly to validate it
+(on a ``tree.SpineTree``, walked in its ``children`` order as the verifier
+walks it), computes balanced k-ary ("isotropic") reference yields, and scans
+for spine-over-isotropic dominance.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .tree import iso_levels, linear_allocation
+from .models import check_field_types
+from .tree import ROOT, DraftNode, Source, SpineTree, iso_levels, linear_allocation
 
 __all__ = [
     "AcceptanceModel",
     "TreeShape",
     "YieldReport",
-    "TaggedTree",
     "phi",
     "ell_bar",
     "synergy",
@@ -135,83 +136,47 @@ def spine_yield(model: AcceptanceModel, shape: TreeShape) -> YieldReport:
     )
 
 
-@dataclass(frozen=True)
-class TaggedTree:
-    """Explicit draft tree for simulation: parent index and source per node.
-
-    ``parents[i] == -1`` hangs node i off the (virtual) anchor root; ``spine``
-    marks which nodes accept at ``p_s`` versus ``p_t``.
-    """
-
-    parents: tuple[int, ...]
-    spine: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.parents) != len(self.spine):
-            raise ValueError("parents and spine tags must align")
-        for i, p in enumerate(self.parents):
-            if not (-1 <= p < i):
-                raise ValueError(f"node {i} has invalid parent {p}")
-
-    def children(self) -> list[list[int]]:
-        """Child lists ordered spine-first then by index (walk priority)."""
-        kids: dict[int, list[int]] = {}
-        for i in range(len(self.parents)):
-            kids.setdefault(self.parents[i], []).append(i)
-        out = []
-        for v in range(-1, len(self.parents)):
-            ordered = sorted(kids.get(v, []), key=lambda c: (not self.spine[c], c))
-            out.append(ordered)
-        return out  # out[v + 1] are the children of node v
-
-
-def spine_shape_tree(shape: TreeShape) -> TaggedTree:
+def spine_shape_tree(shape: TreeShape) -> SpineTree:
     """Canonical tree for a shape: spine chain + independent branch chains.
 
     Branches at spine node i (i=0 is the anchor) are ``widths[i]`` transition
     tokens, each extended as a chain to depth ``shape.depth`` below its
-    branching point. This is the structure on which the bound is tight.
+    branching point. This is the structure on which the bound is tight. Every
+    token is 0: the simulation reads only parents and sources.
     """
-    parents: list[int] = []
-    spine: list[bool] = []
-    spine_index: list[int] = []  # node index of spine token i+1
-    for i in range(shape.m):
-        parents.append(-1 if i == 0 else spine_index[i - 1])
-        spine.append(True)
-        spine_index.append(len(parents) - 1)
-    for i, width in enumerate(shape.widths):
-        attach = -1 if i == 0 else spine_index[i - 1]
+    nodes = [DraftNode(0, Source.CONTEXT, ROOT, 0)]
+    nodes += [DraftNode(0, Source.CONTEXT, i, i + 1) for i in range(shape.m)]
+    for branch_point, width in enumerate(shape.widths):  # spine node i is node i
         for _ in range(width):
-            parents.append(attach)
-            spine.append(False)
-            leaf = len(parents) - 1
-            for _ in range(shape.depth - 1):
-                parents.append(leaf)
-                spine.append(False)
-                leaf = len(parents) - 1
-    return TaggedTree(parents=tuple(parents), spine=tuple(spine))
+            parent = branch_point
+            for depth in range(branch_point + 1, branch_point + shape.depth + 1):
+                nodes.append(DraftNode(0, Source.TRANSITION, parent, depth))
+                parent = len(nodes) - 1
+    return SpineTree(nodes=nodes, spine=list(range(shape.m + 1)))
 
 
 def monte_carlo_yield(
     model: AcceptanceModel,
-    tree: TaggedTree,
+    tree: SpineTree,
     trials: int,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Simulate the acceptance walk; returns (mean tau, standard error).
 
-    Per trial every node is independently accepted (``p_s`` for spine tags,
-    ``p_t`` otherwise) and a greedy walk advances from the root into the first
-    accepted child, spine children first; tau is the walk length plus one
-    bonus token. Acceptance bits are sampled lazily: only children actually
-    inspected by the walk draw randomness, which leaves the distribution
-    unchanged. Fixed seed and chunking make results bit-reproducible.
+    Per trial every node is independently accepted (``p_s`` for context
+    nodes, ``p_t`` otherwise) and a greedy walk advances from the root into
+    the first accepted child in ``tree.children`` order, the verifier's walk
+    order; tau is the walk length plus one bonus token. Acceptance bits are
+    sampled lazily: only children actually inspected by the walk draw
+    randomness, which leaves the distribution unchanged. Fixed seed and
+    chunking make results bit-reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    children = tree.children()
-    prob = np.array([model.p_s if s else model.p_t for s in tree.spine], dtype=np.float64)
+    children = tree.children
+    rate = {Source.CONTEXT: model.p_s, Source.TRANSITION: model.p_t}
+    prob = np.array([rate[n.source] for n in tree.nodes], dtype=np.float64)
     total = 0.0
     total_sq = 0.0
     remaining = trials
@@ -219,13 +184,13 @@ def monte_carlo_yield(
         n = min(remaining, MC_CHUNK)
         remaining -= n
         depth = np.zeros(n, dtype=np.int64)
-        current = np.full(n, -1, dtype=np.int64)
+        current = np.zeros(n, dtype=np.int64)
         active = np.arange(n)
         while active.size:
             next_active: list[np.ndarray] = []
             for v in np.unique(current[active]):
                 group = active[current[active] == v]
-                kids = children[v + 1]
+                kids = children[v]
                 if not kids:
                     continue
                 bits = rng.random((group.size, len(kids))) < prob[kids]
@@ -313,6 +278,8 @@ def dominance_scan(
     for p_s, p_t, budget in points:
         if p_s < p_t:
             raise ValueError(f"grid point has p_s {p_s} < p_t {p_t}")
+        if budget < 1:
+            raise ValueError(f"grid point has budget {budget} < 1")
         tau_spine, best_m, _w = best_spine_yield(p_s, p_t, budget, depth)
         tau_iso, best_k = best_iso_yield(budget, p_t)
         rows.append(
@@ -340,6 +307,13 @@ class BoundSetting:
     depth: int = 6
     tau_meas: float | None = None
     stderr: float | None = None
+
+    def __post_init__(self):
+        check_field_types(self)
+        AcceptanceModel(p_s=self.p_s, p_t=self.p_t)
+        finite = all(0 <= v < math.inf for v in (self.tau_meas, self.stderr) if v is not None)
+        if self.m < 0 or self.budget < 1 or self.depth < 1 or not finite:
+            raise ValueError(f"need m >= 0, budget, depth >= 1, measurements in [0, inf): {self}")
 
 
 @dataclass(frozen=True)
@@ -370,17 +344,10 @@ def _bound_widths(setting: BoundSetting) -> tuple[int, ...]:
     if setting.m == 0:
         return ()
     branch_budget = max(setting.budget - setting.m, 0)
-    degenerate = (
-        setting.p_t <= 0.0
-        or setting.p_s >= 1.0
-        or setting.p_t >= 1.0
-        or setting.p_s < setting.p_t  # measured logs can leave the p_s > p_t regime
-    )
-    if degenerate:
-        # Spread evenly; the bound holds for any widths, only optimality needs
-        # the heterogeneous regime.
-        base = branch_budget // setting.m
-        extra = branch_budget - base * setting.m
+    # Measured logs can leave the 0 < p_t <= p_s < 1 regime. Spread evenly
+    # there: the bound holds for any widths, only optimality needs the regime.
+    if not 0.0 < setting.p_t <= setting.p_s < 1.0:
+        base, extra = divmod(branch_budget, setting.m)
         return tuple(base + (1 if i < extra else 0) for i in range(setting.m))
     return tuple(linear_allocation(setting.p_s, setting.p_t, setting.m, branch_budget))
 

@@ -86,18 +86,27 @@ class TreeBudget:
 
 @dataclass
 class SpineTree:
-    """Draft nodes in construction order; ``nodes[0]`` is the anchor root."""
+    """Draft nodes in construction order; ``nodes[0]`` is the anchor root.
+
+    The one draft-tree type, walked by the verifier and the simulator alike in
+    ``children[v]`` order: context children first, then transition children,
+    each by index. Builders pass lists in that order; else they are derived.
+    """
 
     nodes: list[DraftNode]
     spine: list[int]  # node indices of the spine chain, root first
     children: list[list[int]] = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.children:
-            self.children = [[] for _ in self.nodes]
-            for i, node in enumerate(self.nodes):
-                if node.parent != ROOT:
-                    self.children[node.parent].append(i)
+        if self.children:
+            return
+        context: list[list[int]] = [[] for _ in self.nodes]
+        transition: list[list[int]] = [[] for _ in self.nodes]
+        for i, node in enumerate(self.nodes[1:], start=1):
+            if not 0 <= node.parent < i:
+                raise ValueError(f"node {i} has invalid parent {node.parent}")
+            (context if node.source is Source.CONTEXT else transition)[node.parent].append(i)
+        self.children = [c + t for c, t in zip(context, transition)]
 
     def __len__(self) -> int:
         return len(self.nodes)

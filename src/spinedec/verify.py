@@ -1,11 +1,11 @@
 """Single-pass draft verification: the unified greedy walk.
 
 One model call scores the whole draft; the walk then follows matching children
-from the root, preferring context-sourced (spine) children over transition
-children, and stops at the first position where nothing matches. The model's
-greedy prediction at the stopping point is appended as a bonus token, so every
-cycle makes progress. A bypass chain is verified as a tree with one child per
-node, so every draft takes this one path.
+from the root in ``SpineTree.children`` order (context children first, then
+transition children, each by index), and stops at the first position where
+nothing matches. The model's greedy prediction at the stopping point is
+appended as a bonus token, so every cycle makes progress. A bypass chain is
+verified as a tree with one child per node, so every draft takes this one path.
 """
 
 from __future__ import annotations
@@ -47,26 +47,19 @@ class WalkResult:
 def _categorize(sources: Sequence[Source]) -> str:
     if not sources:
         return PathCategory.EMPTY
-    context_prefix = 0
-    for s in sources:
-        if s is Source.CONTEXT:
-            context_prefix += 1
-        else:
-            break
-    if context_prefix == len(sources):
+    if sources[0] is not Source.CONTEXT:
+        return PathCategory.PURE_TRANSITION
+    if all(s is Source.CONTEXT for s in sources):
         return PathCategory.PURE_CONTEXT
-    if context_prefix > 0:
-        return PathCategory.SPINE_CONTINUATION
-    return PathCategory.PURE_TRANSITION
+    return PathCategory.SPINE_CONTINUATION
 
 
 def unified_greedy_walk(model: TargetModel, tree: SpineTree, base: Sequence[int]) -> WalkResult:
     """Verify a draft tree with one model call.
 
-    From the root, advance to a context-sourced child whose token equals the
-    greedy prediction at the current node, else a transition child (lower node
-    index wins a tie), else stop. The bonus is the prediction at the last
-    accepted position.
+    From the root, advance to the first child in ``tree.children`` order whose
+    token equals the greedy prediction at the current node, else stop. The
+    bonus is the prediction at the last accepted position.
     """
     response = model.score_tree(tree_query(tree, base))
 
@@ -76,24 +69,16 @@ def unified_greedy_walk(model: TargetModel, tree: SpineTree, base: Sequence[int]
         return response.nodes[node_index - 1]
 
     accepted: list[int] = []
-    sources: list[Source] = []
     current = 0
     while True:
         target = prediction(current).token
-        chosen = None
-        for want in (Source.CONTEXT, Source.TRANSITION):
-            for child in tree.children[current]:
-                node = tree.nodes[child]
-                if node.source is want and node.token == target:
-                    chosen = child
-                    break
-            if chosen is not None:
+        for child in tree.children[current]:
+            if tree.nodes[child].token == target:
                 break
-        if chosen is None:
+        else:
             break
-        accepted.append(chosen)
-        sources.append(tree.nodes[chosen].source)
-        current = chosen
+        accepted.append(child)
+        current = child
     bonus = prediction(current).token
     tokens = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
     return WalkResult(
@@ -101,7 +86,7 @@ def unified_greedy_walk(model: TargetModel, tree: SpineTree, base: Sequence[int]
         accepted=tuple(accepted),
         tokens=tokens,
         bonus=bonus,
-        category=_categorize(sources),
+        category=_categorize([tree.nodes[i].source for i in accepted]),
         response=response,
     )
 

@@ -16,7 +16,6 @@ from spinedec.engine import EmaState, EngineConfig, decode, spine_ratio_tier, up
 from spinedec.models import SyntheticModelSpec, ar_decode, build_synthetic
 from spinedec.theory import (
     AcceptanceModel,
-    TaggedTree,
     TreeShape,
     best_iso_yield,
     best_spine_yield,
@@ -25,7 +24,7 @@ from spinedec.theory import (
     spine_yield,
     synergy,
 )
-from spinedec.tree import linear_allocation
+from spinedec.tree import Source, SpineTree, linear_allocation
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -162,13 +161,10 @@ def test_criterion_2_yield_bound_and_tightness():
     for p_s, p_t in BOUND_RATE_PAIRS[:6]:
         shape = TreeShape(m=3, widths=(2, 1, 1), depth=4, budget=60)
         base = spine_shape_tree(shape)
-        parents = list(base.parents)
-        spine = list(base.spine)
-        for i, is_spine in enumerate(base.spine):
-            if not is_spine:
-                parents.append(base.parents[i])
-                spine.append(False)
-        richer = TaggedTree(parents=tuple(parents), spine=tuple(spine))
+        richer = SpineTree(
+            nodes=base.nodes + [n for n in base.nodes[1:] if n.source is Source.TRANSITION],
+            spine=base.spine,
+        )
         model = AcceptanceModel(p_s, p_t)
         analytic = spine_yield(model, shape).tau_eq
         mean, stderr = monte_carlo_yield(model, richer, BOUND_TRIALS, seed=9000 + index)

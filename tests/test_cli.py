@@ -229,6 +229,77 @@ def test_bad_corpus_exits_before_decoding(
     assert not out.exists()
 
 
+GOOD_SETTING = {"setting_id": "s", "p_s": 0.5, "p_t": 0.1, "m": 3, "budget": 30}
+
+
+def _setting(**edits) -> list[dict]:
+    """A one-entry settings file: ``GOOD_SETTING`` with keys set, or dropped when None."""
+    entry = {**GOOD_SETTING, **edits}
+    return [{k: v for k, v in entry.items() if v is not None}]
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        pytest.param(_setting(temperature=0.7), id="unknown-key"),
+        pytest.param(_setting(m=None), id="missing-m"),
+        pytest.param([GOOD_SETTING, 3], id="entry-not-object"),
+        pytest.param(GOOD_SETTING, id="not-a-list"),
+        pytest.param(_setting(p_s="0.5"), id="p_s-string"),
+        pytest.param(_setting(p_t=1.5), id="p_t-above-one"),
+        pytest.param(_setting(m=2.0), id="m-float"),
+        pytest.param(_setting(m=-1), id="m-negative"),
+        pytest.param(_setting(budget=0), id="budget-zero"),
+        pytest.param(_setting(depth=0), id="depth-zero"),
+        pytest.param(_setting(setting_id=7), id="setting_id-int"),
+        pytest.param(_setting(tau_meas="2.0"), id="tau_meas-string"),
+        pytest.param(_setting(tau_meas=True), id="tau_meas-bool"),
+        pytest.param(_setting(stderr=-0.1), id="stderr-negative"),
+    ],
+)
+def test_bad_bound_settings_exit_before_decoding(
+    corpus_file: Path, tmp_path: Path, settings, capsys: pytest.CaptureFixture, no_decoding
+):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(settings))
+    out = tmp_path / "bound.csv"
+    args = ["theory", "verify-bound", "--corpus", str(corpus_file), "--settings", str(path)]
+    assert main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--iso-fanout", "--trials"])
+def test_bad_bound_counts_exit_before_decoding(
+    corpus_file: Path, tmp_path: Path, flag: str, capsys: pytest.CaptureFixture, no_decoding
+):
+    out = tmp_path / "bound.csv"
+    args = ["theory", "verify-bound", "--corpus", str(corpus_file), flag, "0", "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_explicit_settings_follow_corpus_settings(corpus_file: Path, tmp_path: Path):
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(_setting(tau_meas=10, stderr=0)))
+    out = tmp_path / "bound.csv"
+    args = ["theory", "verify-bound", "--corpus", str(corpus_file), "--settings", str(path)]
+    assert main(args + ["--out", str(out)]) == 0
+    ids = [row["setting_id"] for row in csv.DictReader(out.open())]
+    assert ids == ["cli-smoke/0", "cli-smoke/1", "s"]
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_dominance_rejects_a_budget_below_one(
+    tmp_path: Path, budget: str, capsys: pytest.CaptureFixture
+):
+    out = tmp_path / "dominance.csv"
+    assert main(["theory", "dominance", "--grid", f"0.5,0.1,{budget}", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: grid point has budget")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [["decode", "--out", "{tmp}/out"], ["ablate"], ["theory", "verify-bound", "--trials", "10"]],

@@ -8,11 +8,13 @@ the code against reports recorded from an earlier version of it.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
 
 from spinedec.bench import ABLATION_FLAGS, CorpusSpec, run_corpus
+from spinedec.cli import main
 from spinedec.engine import EngineConfig
 from spinedec.models import SyntheticModelSpec
 
@@ -56,3 +58,40 @@ def test_engine_report_matches_golden_digest(engine):
 @pytest.mark.parametrize("flag,digest", list(zip(ABLATION_FLAGS, FLAG_DIGESTS)))
 def test_ablated_spine_report_matches_golden_digest(flag, digest):
     assert _digest("spine", replace(EngineConfig(), **{flag: True})) == digest
+
+
+# Theory CSVs written by the CLI, pinned the same way: the first 16 hex digits
+# of the sha256 of the file. The yield and bound rows carry Monte-Carlo
+# estimates, so these also pin the simulator's walk order and random stream.
+SIMULATED_SETTINGS = [
+    {"setting_id": "novel", "p_s": 0.21, "p_t": 0.033, "m": 5, "budget": 60},
+    {"setting_id": "repeat", "p_s": 0.8, "p_t": 0.1, "m": 8, "budget": 60, "depth": 4},
+    {"setting_id": "equal", "p_s": 0.05, "p_t": 0.05, "m": 3, "budget": 30},
+    {"setting_id": "inverted", "p_s": 0.01, "p_t": 0.04, "m": 3, "budget": 30},
+]
+
+THEORY_DIGESTS = {
+    "yield": "73452adc3da0703c",
+    "verify-bound": "e57bcd8c9535907a",
+    "dominance": "0f5809f35929b822",
+}
+
+
+def _theory_args(command: str, tmp_path) -> list[str]:
+    if command == "yield":
+        return [
+            "yield", "--ps", "0.35", "--pt", "0.08", "--m", "4",
+            "--widths", "3,2,2,1", "--depth", "5", "--trials", "20000", "--seed", "3",
+        ]
+    if command == "verify-bound":
+        settings = tmp_path / "settings.json"
+        settings.write_text(json.dumps(SIMULATED_SETTINGS))
+        return ["verify-bound", "--settings", str(settings), "--trials", "20000", "--seed", "5"]
+    return ["dominance"]
+
+
+@pytest.mark.parametrize("command", sorted(THEORY_DIGESTS))
+def test_theory_csv_matches_golden_digest(command, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["theory", *_theory_args(command, tmp_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == THEORY_DIGESTS[command]

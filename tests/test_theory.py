@@ -11,7 +11,6 @@ from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import (
     AcceptanceModel,
     BoundSetting,
-    TaggedTree,
     TreeShape,
     best_iso_yield,
     best_spine_yield,
@@ -25,6 +24,7 @@ from spinedec.theory import (
     synergy,
     verify_bound,
 )
+from spinedec.tree import ROOT, DraftNode, Source, SpineTree
 
 # Pinned by a 50-digit evaluation of the closed form at the observed median
 # rates (p_s=0.21, p_t=0.033) with shape m=5, w=(3,3,2,2,1), D=6.
@@ -105,7 +105,7 @@ def test_tau_eq_monotone_in_every_argument():
 
 
 def test_single_node_tree_at_certainty_yields_exactly_two():
-    tree = TaggedTree(parents=(-1,), spine=(True,))
+    tree = spine_shape_tree(TreeShape(m=1, widths=(0,), depth=6, budget=60))
     mean, stderr = monte_carlo_yield(AcceptanceModel(1.0, 0.5), tree, trials=5000, seed=1)
     assert mean == 2.0
     assert stderr == 0.0
@@ -132,15 +132,12 @@ def test_sub_branching_only_raises_the_yield():
     shape = TreeShape(m=3, widths=(2, 1, 1), depth=4, budget=60)
     model = AcceptanceModel(0.4, 0.15)
     analytic = spine_yield(model, shape).tau_eq
-    base_tree = spine_shape_tree(shape)
+    base = spine_shape_tree(shape)
     # Give every branch-chain node an extra sibling child (sub-branching).
-    parents = list(base_tree.parents)
-    spine = list(base_tree.spine)
-    for i, is_spine in enumerate(base_tree.spine):
-        if not is_spine:
-            parents.append(base_tree.parents[i])
-            spine.append(False)
-    richer = TaggedTree(parents=tuple(parents), spine=tuple(spine))
+    richer = SpineTree(
+        nodes=base.nodes + [n for n in base.nodes[1:] if n.source is Source.TRANSITION],
+        spine=base.spine,
+    )
     mean, stderr = monte_carlo_yield(model, richer, trials=200_000, seed=4)
     assert mean >= analytic - 3 * stderr
 
@@ -155,13 +152,19 @@ def test_monte_carlo_is_seed_deterministic():
 
 
 def test_monte_carlo_validates_inputs():
-    tree = TaggedTree(parents=(-1,), spine=(True,))
+    tree = spine_shape_tree(TreeShape(m=1, widths=(0,), depth=6, budget=60))
     with pytest.raises(ValueError):
         monte_carlo_yield(AcceptanceModel(0.5, 0.2), tree, trials=0)
     with pytest.raises(ValueError):
-        TaggedTree(parents=(1,), spine=(True,))
-    with pytest.raises(ValueError):
         AcceptanceModel(1.2, 0.5)
+
+
+@pytest.mark.parametrize("parent", [1, 2, ROOT], ids=["self", "forward", "second-root"])
+def test_simulated_tree_rejects_a_parent_that_does_not_precede_its_node(parent):
+    root = DraftNode(0, Source.CONTEXT, ROOT, 0)
+    nodes = [root, DraftNode(0, Source.CONTEXT, parent, 1), DraftNode(0, Source.CONTEXT, 0, 1)]
+    with pytest.raises(ValueError, match="node 1 has invalid parent"):
+        SpineTree(nodes=nodes, spine=[0])
 
 
 # --- isotropic reference ----------------------------------------------------------
@@ -214,6 +217,12 @@ def test_dominance_gap_grows_with_heterogeneity():
         assert gaps == sorted(gaps)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_dominance_rejects_a_budget_below_one(budget):
+    with pytest.raises(ValueError, match="budget"):
+        dominance_scan([(0.5, 0.1, budget)])
+
+
 def test_dominance_rejects_inverted_grid_points():
     with pytest.raises(ValueError):
         dominance_scan([(0.01, 0.5, 10)])
@@ -226,6 +235,23 @@ def test_best_spine_uses_full_budget():
 
 
 # --- bound verification and heterogeneity -------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"p_s": "0.5"}, {"p_t": 1.5}, {"m": 2.0}, {"m": -1}, {"budget": 0}, {"depth": 0},
+        {"tau_meas": math.nan}, {"tau_meas": "2"}, {"stderr": -1.0}, {"stderr": math.inf},
+    ],
+)
+def test_bound_setting_rejects_bad_fields(edit):
+    with pytest.raises(ValueError):
+        BoundSetting(**{"setting_id": "s", "p_s": 0.5, "p_t": 0.1, "m": 3, "budget": 30, **edit})
+
+
+def test_bound_setting_stores_integer_rates_and_measurements_as_floats():
+    setting = BoundSetting("s", p_s=1, p_t=0, m=3, budget=30, tau_meas=2, stderr=0)
+    assert [type(v) for v in (setting.p_s, setting.p_t, setting.tau_meas, setting.stderr)] == [float] * 4
 
 
 def test_verify_bound_on_synthetic_settings():

@@ -12,6 +12,7 @@ from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import iso_yield, synergy
 from spinedec.tree import (
     Source,
+    SpineTree,
     TreeBudget,
     build_iso_tree,
     build_spine_tree,
@@ -32,6 +33,11 @@ def saturated_table(vocab: int = 40, top_k: int = 10, seed: int = 5) -> Adjacenc
             tokens = rng.sample(range(vocab), top_k)
             table.harvest([((prev, cur), [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
     return table
+
+
+def assert_builder_lists_walk_order(tree: SpineTree) -> None:
+    """The builder's child lists equal the walk order derived from parents alone."""
+    assert SpineTree(nodes=tree.nodes, spine=tree.spine).children == tree.children
 
 
 def test_budget_split_matches_hand_trace():
@@ -134,8 +140,10 @@ def test_branch_depth_never_exceeds_cap():
     budget=st.integers(2, 60),
     ratio=st.floats(0.1, 0.9),
     chain_len=st.integers(0, 20),
+    spine_branches=st.booleans(),
+    swap=st.booleans(),
 )
-def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len):
+def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, spine_branches, swap):
     rng = random.Random(seed)
     table = AdjacencyTable(top_k=6)
     for _ in range(rng.randint(0, 60)):
@@ -145,12 +153,18 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len):
         )
     chain = tuple(rng.randrange(24) for _ in range(chain_len))
     tree_budget = TreeBudget(budget=budget, spine_ratio=ratio)
-    tree = build_spine_tree(rng.randrange(24), chain, table, tree_budget, prev_token=rng.randrange(24))
+    anchor, prev = rng.randrange(24), rng.randrange(24)
+    tree = build_spine_tree(
+        anchor, chain, table, tree_budget, prev_token=prev,
+        spine_source=Source.TRANSITION if swap else Source.CONTEXT, spine_branches=spine_branches,
+    )
 
     assert 1 <= len(tree) <= budget
-    # Spine contiguity: CONTEXT nodes form exactly the root chain.
+    assert_builder_lists_walk_order(tree)
+    assert_builder_lists_walk_order(build_iso_tree(anchor, 1 + seed % 5, budget, chain, table, prev))
+    # Spine contiguity: CONTEXT nodes form exactly the root chain (none when swapped).
     context_nodes = {i for i in range(1, len(tree)) if tree.nodes[i].source is Source.CONTEXT}
-    assert context_nodes == set(tree.spine[1:])
+    assert context_nodes == (set() if swap else set(tree.spine[1:]))
     for a, b in zip(tree.spine, tree.spine[1:]):
         assert tree.nodes[b].parent == a
     # No duplicate (parent, token) pairs.
@@ -229,6 +243,7 @@ def test_iso_tree_places_chain_tokens_first():
     table = saturated_table()
     chain = (1, 2, 3)
     tree = build_iso_tree(0, 3, 60, chain, table, prev_token=1)
+    assert_builder_lists_walk_order(tree)
     node = 0
     for depth, token in enumerate(chain, start=1):
         kids = tree.children[node]
@@ -250,6 +265,7 @@ def test_iso_tree_and_iso_yield_share_one_level_count(fanout, budget):
     assert total == sum(fanout**d for d in range(1, levels + 1)) <= budget
     assert total + fanout ** (levels + 1) > budget
     tree = build_iso_tree(0, fanout, budget, (), saturated_table(), prev_token=1)
+    assert_builder_lists_walk_order(tree)
     assert len(tree) - 1 == total
     assert max(node.depth for node in tree.nodes) == levels
     assert iso_yield(fanout, budget, 1.0) == levels + 1  # p_t = 1 accepts every level

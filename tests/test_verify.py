@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import ScriptedModel
 from spinedec.tree import ROOT, DraftNode, Source, SpineTree
@@ -132,3 +134,50 @@ def test_walk_conditions_on_full_history_not_just_anchor():
     assert with_seven.tokens[0] == 9
     plain = unified_greedy_walk(model, tree, (4,))
     assert plain.tokens[0] == 5
+
+
+@st.composite
+def scripted_trees(draw):
+    """A hand-built tree over tokens 0..3 (sibling ties are common) and a model
+    scripted with a random prediction at the anchor and at every node."""
+    vocab = 4
+    anchor = draw(st.integers(0, vocab - 1))
+    rows = []
+    for i in range(1, draw(st.integers(1, 12)) + 1):
+        token, source = draw(st.integers(0, vocab - 1)), draw(st.sampled_from(Source))
+        rows.append((token, source, draw(st.integers(0, i - 1))))
+    tree = manual_tree(anchor, rows)
+    paths = [(anchor,)]
+    for node in tree.nodes[1:]:
+        paths.append(paths[node.parent] + (node.token,))
+    script = {path: draw(st.integers(0, vocab - 1)) for path in paths}
+    return tree, ScriptedModel(vocab_size=vocab + 1, script=script)
+
+
+def _two_pass_walk(tree: SpineTree, model: ScriptedModel) -> tuple[int, ...]:
+    """Reference walk: a matching context child, else a matching transition
+    child, lower index first in each pass; children found by parent scan."""
+    nodes, accepted, current, path = tree.nodes, [], 0, (tree.nodes[0].token,)
+    while True:
+        target = model.greedy_next(path)
+        chosen = None
+        for want in (Source.CONTEXT, Source.TRANSITION):
+            matches = [
+                i for i in range(1, len(nodes))
+                if (nodes[i].parent, nodes[i].source, nodes[i].token) == (current, want, target)
+            ]
+            chosen = min(matches, default=None)
+            if chosen is not None:
+                break
+        if chosen is None:
+            return tuple(accepted)
+        accepted.append(chosen)
+        current, path = chosen, path + (target,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=scripted_trees())
+def test_one_pass_walk_matches_two_pass_reference(case):
+    tree, model = case
+    result = unified_greedy_walk(model, tree, (tree.nodes[0].token,))
+    assert result.accepted == _two_pass_walk(tree, model)
