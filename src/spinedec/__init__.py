@@ -20,7 +20,7 @@ from .bench import (
     measure_heterogeneity,
     run_corpus,
 )
-from .context import ContextIndex, MatchResult, context_match
+from .context import ContextIndex, MatchResult
 from .engine import (
     DecodeStats,
     EmaState,

@@ -4,11 +4,14 @@ Tier 1 keeps the top-K successors of every single token, tier 2 the top-K
 successors of every observed (prev, cur) bigram. Every scored position of
 every model call — accepted or rejected — is merged in, so the table warms up
 far faster than accepted-positions-only harvesting would.
+
+The table owns its lookup policy: the score threshold (nothing below it is
+stored, so nothing below it is ever returned) and the bigram switch (off, every
+lookup reads the unigram tier).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 __all__ = ["AdjacencyTable", "confidence_width", "DEFAULT_TOP_K", "MIN_SCORE"]
@@ -31,13 +34,14 @@ def _merge(existing: Entries, new: Iterable[tuple[int, float]], top_k: int, min_
 class AdjacencyTable:
     """Top-K successor lists per unigram and per bigram key."""
 
-    def __init__(self, top_k: int = DEFAULT_TOP_K, min_score: float = MIN_SCORE):
+    def __init__(self, top_k: int = DEFAULT_TOP_K, min_score: float = MIN_SCORE, use_bigram: bool = True):
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not (0.0 <= min_score <= 1.0):
             raise ValueError(f"min_score must lie in [0, 1], got {min_score}")
         self.top_k = top_k
         self.min_score = min_score
+        self.use_bigram = use_bigram
         self.unigram: dict[int, Entries] = {}
         self.bigram: dict[tuple[int, int], Entries] = {}
 
@@ -64,49 +68,31 @@ class AdjacencyTable:
                     self.bigram.get(key, []), candidates, self.top_k, self.min_score
                 )
 
-    def successors(
-        self,
-        prev: int | None,
-        cur: int,
-        width: int,
-        use_bigram: bool = True,
-    ) -> Entries:
+    def successors(self, prev: int | None, cur: int, width: int) -> Entries:
         """Top-``width`` successors of the context, bigram tier first.
 
-        Falls back to the unigram tier when the bigram key is absent or empty;
-        entries below the score threshold are never returned.
+        Falls back to the unigram tier when the bigram tier is switched off or
+        its key is absent or empty.
         """
         if width < 0:
             raise ValueError("width must be >= 0")
         entries: Entries | None = None
-        if use_bigram and prev is not None:
+        if self.use_bigram and prev is not None:
             entries = self.bigram.get((prev, cur))
         if not entries:
             entries = self.unigram.get(cur, [])
-        return [(t, s) for t, s in entries[:width] if s >= self.min_score]
-
-    def has_successors(self, prev: int | None, cur: int, use_bigram: bool = True) -> bool:
-        return bool(self.successors(prev, cur, 1, use_bigram=use_bigram))
-
-    def dump_json(self) -> str:
-        """Debug dump: {key: [[token, score], ...]}; not load-bearing."""
-        payload = {
-            **{str(t): [[tok, s] for tok, s in ent] for t, ent in sorted(self.unigram.items())},
-            **{f"{a},{b}": [[tok, s] for tok, s in ent] for (a, b), ent in sorted(self.bigram.items())},
-        }
-        return json.dumps(payload, sort_keys=True)
+        return entries[:width]
 
 
 def confidence_width(score: float, sibling_scores: Sequence[float], base_allocation: int) -> int:
     """Children allowance for a successor, scaled by score vs. best sibling.
 
     ``round(base_allocation * score / max(sibling_scores))`` with half-up
-    rounding; successors below the score threshold get 0 (pruned entirely).
+    rounding. The scores come from ``successors``, so they already clear the
+    table's threshold.
     """
     if base_allocation < 0:
         raise ValueError("base_allocation must be >= 0")
-    if score < MIN_SCORE:
-        return 0
     best = max(sibling_scores) if sibling_scores else score
     if best <= 0:
         return 0

@@ -166,8 +166,11 @@ def _cmd_theory_dominance(args: argparse.Namespace) -> int:
     else:
         points = []
         for chunk in args.grid.split(";"):
-            ps, pt, b = chunk.split(",")
-            points.append((float(ps), float(pt), int(b)))
+            try:
+                ps, pt, b = chunk.split(",")
+                points.append((float(ps), float(pt), int(b)))
+            except ValueError:
+                raise ValueError(f"grid chunk {chunk!r} is not of the form ps,pt,B") from None
     rows = dominance_scan(points, depth=args.depth)
     _write_csv(
         args.out,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["MatchResult", "ContextIndex", "context_match", "DEFAULT_NGRAM_LENGTHS", "MAX_CHAIN"]
+__all__ = ["MatchResult", "ContextIndex", "DEFAULT_NGRAM_LENGTHS", "MAX_CHAIN"]
 
 DEFAULT_NGRAM_LENGTHS = (3, 4, 5)
 MAX_CHAIN = 20
@@ -32,10 +32,10 @@ class MatchResult:
 class ContextIndex:
     """Incremental n-gram index; equivalent to re-scanning from scratch.
 
-    For each query length the index keeps the last two start positions of
-    every n-gram. Two slots suffice: the newest occurrence may be the history
-    suffix itself, in which case the previous one is the most recent *earlier*
-    occurrence.
+    For each query length the index keeps one start position per n-gram: its
+    most recent occurrence that ends before the last token. An n-gram is
+    registered only once a token follows it, so the history suffix itself is
+    never in the index and a hit is always an *earlier* occurrence.
     """
 
     def __init__(
@@ -52,9 +52,7 @@ class ContextIndex:
         self._lengths = tuple(lens)
         self._max_chain = max_chain
         self._tokens: list[int] = []
-        self._last: dict[int, dict[tuple[int, ...], tuple[int | None, int]]] = {
-            n: {} for n in lens
-        }
+        self._last: dict[int, dict[tuple[int, ...], int]] = {n: {} for n in lens}
         self.extend(tokens)
 
     @property
@@ -65,28 +63,21 @@ class ContextIndex:
         """Append tokens; subsequent matches see the extended history."""
         toks = self._tokens
         for t in delta:
-            toks.append(t)
+            # Register the n-grams that end just before the new token.
             end = len(toks)
+            toks.append(t)
             for n in self._lengths:
                 if end >= n:
-                    gram = tuple(toks[end - n:end])
-                    table = self._last[n]
-                    old = table.get(gram)
-                    table[gram] = (old[1] if old is not None else None, end - n)
+                    self._last[n][tuple(toks[end - n:end])] = end - n
 
     def match(self) -> MatchResult:
         toks = self._tokens
         total = len(toks)
         found: dict[int, tuple[int, ...]] = {}
         for n in self._lengths:
-            if total < n + 1:
-                continue
+            # Histories of n tokens or fewer have registered no n-gram yet.
             suffix_start = total - n
-            rec = self._last[n].get(tuple(toks[suffix_start:]))
-            if rec is None:
-                continue
-            prev, last = rec
-            start = last if last < suffix_start else prev
+            start = self._last[n].get(tuple(toks[suffix_start:]))
             if start is None:
                 continue
             # Continuation is copied from the region strictly before the
@@ -99,12 +90,3 @@ class ContextIndex:
         firsts = [c[0] for c in found.values()]
         consensus = any(firsts.count(f) >= 2 for f in set(firsts))
         return MatchResult(chain=found[max(found)], consensus=consensus)
-
-
-def context_match(
-    history: Sequence[int],
-    lengths: Sequence[int] = DEFAULT_NGRAM_LENGTHS,
-    max_chain: int = MAX_CHAIN,
-) -> MatchResult:
-    """One-shot match over a full history (fresh index each call)."""
-    return ContextIndex(history, lengths=lengths, max_chain=max_chain).match()

@@ -108,7 +108,11 @@ class EngineConfig:
         return ContextIndex(tokens, lengths=self.ngram_lengths, max_chain=self.max_spine_continuation)
 
     def adjacency_table(self) -> AdjacencyTable:
-        return AdjacencyTable(top_k=self.transition_top_k, min_score=self.min_score_threshold)
+        return AdjacencyTable(
+            top_k=self.transition_top_k,
+            min_score=self.min_score_threshold,
+            use_bigram=not self.disable_bigram,
+        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -220,14 +224,12 @@ class DecodeStats:
         return sum(r.offered_spine for r in tree_records) / len(tree_records)
 
 
-def _table_chain(
-    table: AdjacencyTable, prev: int | None, anchor: int, length: int, use_bigram: bool
-) -> tuple[int, ...]:
+def _table_chain(table: AdjacencyTable, prev: int | None, anchor: int, length: int) -> tuple[int, ...]:
     """Greedy top-1 successor walk used by the source-swap control."""
     chain: list[int] = []
     a, b = prev, anchor
     while len(chain) < length:
-        entries = table.successors(a, b, 1, use_bigram=use_bigram)
+        entries = table.successors(a, b, 1)
         if not entries:
             break
         token = entries[0][0]
@@ -329,7 +331,6 @@ def _decode_loop(
     if max_tokens == 0:
         return TokenSequence(tokens=()), run.stats
     _ar_step(run, "prefill", 0)
-    use_bigram = not config.disable_bigram
 
     while not run.done:
         anchor = run.history[-1]
@@ -339,7 +340,7 @@ def _decode_loop(
         # control, a table walk of the same length.
         draft, source = match.chain, Source.CONTEXT
         if config.control_swap_sources and match.chain:
-            draft = _table_chain(run.table, prev, anchor, len(match.chain), use_bigram)
+            draft = _table_chain(run.table, prev, anchor, len(match.chain))
             source = Source.TRANSITION
 
         # Bypass: a long or consensus-backed match is verified linearly.
@@ -352,13 +353,10 @@ def _decode_loop(
             continue
 
         # Tree: any available draft source fills the node budget.
-        if tree_kind is not None and (
-            match.chain or run.table.has_successors(prev, anchor, use_bigram=use_bigram)
-        ):
+        if tree_kind is not None and (match.chain or run.table.successors(prev, anchor, 1)):
             if tree_kind == "iso":
                 tree = build_iso_tree(
-                    anchor, fanout, config.node_budget, match.chain, run.table,
-                    prev_token=prev, use_bigram=use_bigram,
+                    anchor, fanout, config.node_budget, match.chain, run.table, prev_token=prev
                 )
             else:
                 ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
@@ -367,7 +365,6 @@ def _decode_loop(
                     prev_token=prev,
                     spine_source=source,
                     spine_branches=not config.disable_spine_branches,
-                    use_bigram=use_bigram,
                 )
             if len(tree) > 1:
                 _finish_walk(run, "tree", unified_greedy_walk(model, tree, run.history))

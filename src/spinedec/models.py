@@ -14,9 +14,8 @@ in for a real LLM at desk scale:
   matching succeeds.
 
 Both are bit-identical across runs and platforms for the same spec. Models
-are immutable after construction up to idempotent memo caches (identical
-values re-derived on a race), so instances are safe to share across threads;
-queries are side-effect free.
+are immutable after construction up to memo caches of values they would
+re-derive identically, so queries are side-effect free.
 """
 
 from __future__ import annotations

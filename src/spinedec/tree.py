@@ -164,7 +164,6 @@ def build_spine_tree(
     prev_token: int | None = None,
     spine_source: Source = Source.CONTEXT,
     spine_branches: bool = True,
-    use_bigram: bool = True,
 ) -> SpineTree:
     """Assemble the anisotropic draft tree for one decode cycle.
 
@@ -193,7 +192,7 @@ def build_spine_tree(
             prev = prev_token
         else:
             prev = b.nodes[node.parent].token
-        return table.successors(prev, node.token, width, use_bigram=use_bigram)
+        return table.successors(prev, node.token, width)
 
     # Branch roots to extend in step 4, with their chain allowances.
     branch_roots: list[tuple[float, int]] = []
@@ -251,7 +250,6 @@ def build_iso_tree(
     chain: Sequence[int],
     table: AdjacencyTable,
     prev_token: int | None = None,
-    use_bigram: bool = True,
 ) -> SpineTree:
     """Balanced k-ary baseline tree over the same candidate pool.
 
@@ -274,7 +272,7 @@ def build_iso_tree(
             pool: list[tuple[int, Source]] = []
             if on_chain.get(node_index) and len(chain) >= depth:
                 pool.append((chain[depth - 1], Source.CONTEXT))
-            for token, _s in table.successors(prev, node.token, fanout + 1, use_bigram=use_bigram):
+            for token, _s in table.successors(prev, node.token, fanout + 1):
                 pool.append((token, Source.TRANSITION))
             added = 0
             for token, source in pool:

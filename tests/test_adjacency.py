@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 
 import pytest
@@ -52,10 +51,10 @@ def test_successors_width_zero_and_empty_table():
 
 
 def test_successors_bigram_disabled_uses_unigram():
-    table = AdjacencyTable()
+    table = AdjacencyTable(use_bigram=False)
     table.harvest([((1, 2), [(5, 0.5)])])
     table.unigram[2] = [(8, 0.4)]
-    assert table.successors(1, 2, 2, use_bigram=False) == [(8, 0.4)]
+    assert table.successors(1, 2, 2) == [(8, 0.4)]
 
 
 def test_entries_below_threshold_are_dropped():
@@ -114,8 +113,10 @@ def test_confidence_width_ratio_one_returns_base_allocation():
     assert confidence_width(0.4, [0.4, 0.1], 5) == 5
 
 
-def test_confidence_width_below_threshold_prunes():
-    assert confidence_width(0.005, [0.5], 4) == 0
+def test_confidence_width_reads_only_the_sibling_ratio():
+    # The table's threshold is the only one: a low score that the table kept
+    # gets the allowance its ratio to the best sibling earns.
+    assert confidence_width(0.005, [0.01, 0.005], 4) == 2
 
 
 def test_confidence_width_scales_with_sibling_ratio():
@@ -131,10 +132,3 @@ def test_confidence_width_rejects_negative_allocation():
     with pytest.raises(ValueError):
         confidence_width(0.5, [0.5], -1)
 
-
-def test_dump_json_round_trips_through_json():
-    table = AdjacencyTable()
-    table.harvest([((3, 4), [(1, 0.5)]), ((4,), [(2, 0.25)])])
-    payload = json.loads(table.dump_json())
-    assert payload["3,4"] == [[1, 0.5]]
-    assert payload["4"] == [[1, 0.5], [2, 0.25]]

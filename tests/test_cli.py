@@ -301,6 +301,24 @@ def test_dominance_rejects_a_budget_below_one(
 
 
 @pytest.mark.parametrize(
+    "grid,chunk",
+    [
+        ("0.5,0.1", "0.5,0.1"),
+        ("0.5,0.1,10;", ""),
+        ("0.5,x,10", "0.5,x,10"),
+        ("0.5,0.1,2.5", "0.5,0.1,2.5"),
+    ],
+)
+def test_dominance_names_a_malformed_grid_chunk(
+    tmp_path: Path, grid: str, chunk: str, capsys: pytest.CaptureFixture
+):
+    out = tmp_path / "dominance.csv"
+    assert main(["theory", "dominance", "--grid", grid, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: grid chunk {chunk!r} is not of the form ps,pt,B\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command",
     [["decode", "--out", "{tmp}/out"], ["ablate"], ["theory", "verify-bound", "--trials", "10"]],
 )

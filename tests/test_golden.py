@@ -60,6 +60,22 @@ def test_ablated_spine_report_matches_golden_digest(flag, digest):
     assert _digest("spine", replace(EngineConfig(), **{flag: True})) == digest
 
 
+# The bigram switch under every other engine that reads the table: iso trees,
+# transition-only trees, and the source-swap control's table chain.
+NO_BIGRAM_DIGESTS = [
+    ("iso3", {}, "525648c265db2b33"),
+    ("transition", {}, "332c58deec8de1e4"),
+    ("spine", {"control_swap_sources": True}, "d42896a53fb84dca"),
+]
+
+
+@pytest.mark.parametrize(
+    "engine,flags,digest", NO_BIGRAM_DIGESTS, ids=["iso3", "transition", "spine-swap"]
+)
+def test_bigram_switch_reaches_every_table_reader(engine, flags, digest):
+    assert _digest(engine, replace(EngineConfig(), disable_bigram=True, **flags)) == digest
+
+
 # Theory CSVs written by the CLI, pinned the same way: the first 16 hex digits
 # of the sha256 of the file. The yield and bound rows carry Monte-Carlo
 # estimates, so these also pin the simulator's walk order and random stream.

@@ -101,6 +101,24 @@ def test_empty_table_builds_a_bare_chain():
     assert all(n.source is Source.CONTEXT for n in tree.nodes)
 
 
+def test_table_threshold_is_the_only_score_threshold():
+    # 0.005 clears the table's threshold of 0.001, so branch 6 earns an
+    # allowance (4 * 0.005 / 0.02 rounds to 1) and is extended like branch 5.
+    table = AdjacencyTable(min_score=0.001)
+    table.harvest(
+        [
+            ((0,), [(5, 0.02), (6, 0.005)]),
+            ((0, 5), [(8, 0.5)]),
+            ((0, 6), [(7, 0.5)]),
+        ]
+    )
+    tree = build_spine_tree(0, (), table, TreeBudget(budget=10), prev_token=None)
+    by_token = {tree.nodes[i].token: i for i in tree.children[0]}
+    assert sorted(by_token) == [5, 6]
+    assert [tree.nodes[i].token for i in tree.children[by_token[5]]] == [8]
+    assert [tree.nodes[i].token for i in tree.children[by_token[6]]] == [7]
+
+
 def test_spine_is_capped_by_ratio():
     chain = tuple(range(1, 21))
     budget = TreeBudget(budget=60, spine_ratio=0.15)
