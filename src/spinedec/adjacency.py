@@ -7,7 +7,8 @@ far faster than accepted-positions-only harvesting would.
 
 The table owns its lookup policy: the score threshold (nothing below it is
 stored, so nothing below it is ever returned) and the bigram switch (off, every
-lookup reads the unigram tier).
+lookup reads the unigram tier). ``chain`` is the one top-1 successor walk, read
+by the source-swap control's spine and by a spine tree's branch extensions.
 """
 
 from __future__ import annotations
@@ -82,6 +83,19 @@ class AdjacencyTable:
         if not entries:
             entries = self.unigram.get(cur, [])
         return entries[:width]
+
+    def chain(self, prev: int | None, cur: int, length: int) -> list[int]:
+        """Top-1 successor walk of up to ``length`` tokens; ends at a context with none."""
+        if length < 0:
+            raise ValueError("length must be >= 0")
+        tokens: list[int] = []
+        while len(tokens) < length:
+            entries = self.successors(prev, cur, 1)
+            if not entries:
+                break
+            prev, cur = cur, entries[0][0]
+            tokens.append(cur)
+        return tokens
 
 
 def confidence_width(score: float, sibling_scores: Sequence[float], base_allocation: int) -> int:

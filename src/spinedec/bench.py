@@ -220,9 +220,11 @@ def run_corpus(
     jobs: int = 1,
 ) -> RunReport:
     """Run every prompt of a corpus; results are ordered by prompt id."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     config = config or EngineConfig()
     ids = list(range(spec.prompts))
-    if jobs <= 1:
+    if jobs == 1:
         results = [run_prompt(spec, i, engine, config) for i in ids]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -1,8 +1,9 @@
 """Command-line front end: corpus generation, decoding, ablation, theory.
 
 All outputs are deterministic functions of the arguments; CSV column orders
-are fixed. Bad input exits 1 before any decoding; exit 2 means an engine's
-output diverged from the autoregressive reference.
+are fixed. Bad input (a malformed argument, corpus, config or settings file)
+exits 1 before any decoding; exit 2 means only that an engine's output
+diverged from the autoregressive reference.
 """
 
 from __future__ import annotations
@@ -40,6 +41,20 @@ VERIFY_BOUND_COLUMNS = (
     "setting_id", "p_s", "p_t", "m", "B",
     "tau_eq5", "tau_meas", "stderr", "tau_iso", "ratio",
 )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 1 like any other bad input; exit 2 means divergence."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _jobs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _fmt(value: float) -> str:
@@ -125,8 +140,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
 
 
 def _cmd_theory_yield(args: argparse.Namespace) -> int:
-    widths = tuple(int(w) for w in args.widths.split(",")) if args.widths else ()
-    shape = TreeShape(m=args.m, widths=widths, depth=args.depth, budget=args.budget)
+    widths: list[int] = []
+    for entry in args.widths.split(",") if args.widths else ():
+        try:
+            widths.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--widths entry {entry!r} is not an integer") from None
+    shape = TreeShape(m=args.m, widths=tuple(widths), depth=args.depth, budget=args.budget)
     model = AcceptanceModel(p_s=args.ps, p_t=args.pt)
     report = spine_yield(model, shape)
     row = [
@@ -231,7 +251,7 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spinedec", description=__doc__)
+    parser = _Parser(prog="spinedec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("corpus-gen", help="write a corpus spec JSON")
@@ -251,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--engine", choices=ENGINE_KINDS, default="spine")
     dec.add_argument("--config")
     dec.add_argument("--out", required=True)
-    dec.add_argument("--jobs", type=int, default=1)
+    dec.add_argument("--jobs", type=_jobs, default=1)
     for flag in ABLATION_FLAGS:
         dec.add_argument(f"--{flag.replace('_', '-')}", action="store_true")
     dec.set_defaults(func=_cmd_decode)
@@ -260,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("--corpus", required=True)
     abl.add_argument("--config")
     abl.add_argument("--out")
-    abl.add_argument("--jobs", type=int, default=1)
+    abl.add_argument("--jobs", type=_jobs, default=1)
     abl.set_defaults(func=_cmd_ablate)
 
     theory = sub.add_parser("theory", help="analytic and Monte-Carlo topology analysis")
@@ -299,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     tv.add_argument("--iso-fanout", type=int, default=3)
     tv.add_argument("--trials", type=int, default=100_000)
     tv.add_argument("--seed", type=int, default=0)
-    tv.add_argument("--jobs", type=int, default=1)
+    tv.add_argument("--jobs", type=_jobs, default=1)
     tv.add_argument("--out")
     tv.set_defaults(func=_cmd_theory_verify_bound)
 

@@ -5,7 +5,9 @@ verified as a bare linear chain (bypass); otherwise any available draft source
 builds a spine tree verified by the unified greedy walk; with no source at
 all, the cycle degrades to a single autoregressive step. Every scored
 position, including rejected branches, is harvested into the adjacency table,
-and an EMA of spine acceptance retunes the spine ratio each cycle.
+and an EMA of spine acceptance retunes the spine ratio each cycle. An engine
+keeps only the draft sources its route policy reads: the table for a tree
+route, the context index unless the spine is disabled.
 
 The context, transition, iso-k and AR baselines run the same loop with config
 overrides and another tree kind (``_ENGINES``); AR is the policy with no draft
@@ -224,32 +226,19 @@ class DecodeStats:
         return sum(r.offered_spine for r in tree_records) / len(tree_records)
 
 
-def _table_chain(table: AdjacencyTable, prev: int | None, anchor: int, length: int) -> tuple[int, ...]:
-    """Greedy top-1 successor walk used by the source-swap control."""
-    chain: list[int] = []
-    a, b = prev, anchor
-    while len(chain) < length:
-        entries = table.successors(a, b, 1)
-        if not entries:
-            break
-        token = entries[0][0]
-        chain.append(token)
-        a, b = b, token
-    return tuple(chain)
-
-
 class _Run:
     """Mutable state for one decode run."""
 
-    def __init__(self, model: TargetModel, prompt: Sequence[int], max_tokens: int, config: EngineConfig):
+    def __init__(self, model: TargetModel, prompt: Sequence[int], max_tokens: int,
+                 config: EngineConfig, tree_kind: str | None):
         if not prompt:
             raise ValueError("prompt must be non-empty")
         self.model = model
         self.max_tokens = max_tokens
         self.history: list[int] = list(prompt)
         self.out: list[int] = []
-        self.table = config.adjacency_table()
-        self.index = config.context_index(prompt)
+        self.table = config.adjacency_table() if tree_kind is not None else None
+        self.index = None if config.disable_spine else config.context_index(prompt)
         self.stats = DecodeStats()
         self.ema = config.ema_state()
 
@@ -268,7 +257,8 @@ class _Run:
             emit = emit[: emit.index(self.model.eos_token) + 1]
         self.out.extend(emit)
         self.history.extend(emit)
-        self.index.extend(emit)
+        if self.index is not None:
+            self.index.extend(emit)
         accepted_emitted = min(len(emit), accepted_count)
         self.stats.records.append(
             CycleRecord(
@@ -283,23 +273,25 @@ class _Run:
 
 
 def _ar_step(run: _Run, kind: str, scored_from: int) -> None:
-    """One plain model call: harvest every scored position, emit the prediction."""
+    """One plain model call: harvest every scored position into a kept table, emit the prediction."""
     history = run.history
     response = run.model.score_tree(ModelQuery(base=tuple(history), scored_from=scored_from))
-    run.table.harvest(
-        (tuple(history[max(0, i - 1): i + 1]), prediction.top_k)
-        for i, prediction in enumerate(response.base, start=scored_from)
-    )
+    if run.table is not None:
+        run.table.harvest(
+            (tuple(history[max(0, i - 1): i + 1]), prediction.top_k)
+            for i, prediction in enumerate(response.base, start=scored_from)
+        )
     run.emit(kind, [response.base[-1].token], PathCategory.EMPTY)
 
 
 def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
     """Harvest every scored node, emit the accepted path, and retune the EMA."""
     tree, response = walk.tree, walk.response
-    items = [(tuple(run.history[-2:]), response.base[-1].top_k)]
-    for node, prediction in zip(tree.nodes[1:], response.nodes):
-        items.append(((tree.nodes[node.parent].token, node.token), prediction.top_k))
-    run.table.harvest(items)
+    if run.table is not None:
+        items = [(tuple(run.history[-2:]), response.base[-1].top_k)]
+        for node, prediction in zip(tree.nodes[1:], response.nodes):
+            items.append(((tree.nodes[node.parent].token, node.token), prediction.top_k))
+        run.table.harvest(items)
     offered = Counter(node.source for node in tree.nodes[1:])
     accepted = Counter(tree.nodes[i].source for i in walk.accepted)
     spine = set(tree.spine[1:])
@@ -327,7 +319,7 @@ def _decode_loop(
 ) -> tuple[TokenSequence, DecodeStats]:
     if max_tokens < 0:
         raise ValueError("max_tokens must be >= 0")
-    run = _Run(model, prompt, max_tokens, config)
+    run = _Run(model, prompt, max_tokens, config, tree_kind)
     if max_tokens == 0:
         return TokenSequence(tokens=()), run.stats
     _ar_step(run, "prefill", 0)
@@ -335,12 +327,12 @@ def _decode_loop(
     while not run.done:
         anchor = run.history[-1]
         prev = run.history[-2]
-        match = MatchResult() if config.disable_spine else run.index.match()
+        match = MatchResult() if run.index is None else run.index.match()
         # The spine's draft is the matched chain or, under the source-swap
         # control, a table walk of the same length.
         draft, source = match.chain, Source.CONTEXT
         if config.control_swap_sources and match.chain:
-            draft = _table_chain(run.table, prev, anchor, len(match.chain))
+            draft = run.table.chain(prev, anchor, len(match.chain))
             source = Source.TRANSITION
 
         # Bypass: a long or consensus-backed match is verified linearly.

@@ -90,16 +90,15 @@ class SpineTree:
 
     The one draft-tree type, walked by the verifier and the simulator alike in
     ``children[v]`` order: context children first, then transition children,
-    each by index. Builders pass lists in that order; else they are derived.
+    each by index. That order is derived from the parent pointers alone, after
+    a check that every non-root node's parent precedes it.
     """
 
     nodes: list[DraftNode]
     spine: list[int]  # node indices of the spine chain, root first
-    children: list[list[int]] = field(default_factory=list)
+    children: list[list[int]] = field(init=False)
 
     def __post_init__(self):
-        if self.children:
-            return
         context: list[list[int]] = [[] for _ in self.nodes]
         transition: list[list[int]] = [[] for _ in self.nodes]
         for i, node in enumerate(self.nodes[1:], start=1):
@@ -133,27 +132,26 @@ def tree_query(tree: SpineTree, base: Sequence[int]) -> ModelQuery:
 
 
 class _Builder:
-    def __init__(self, anchor: int, budget: int):
+    def __init__(self, anchor: int, budget: int, prev_token: int | None):
         self.nodes: list[DraftNode] = [DraftNode(anchor, Source.CONTEXT, ROOT, 0)]
-        self.children: list[list[int]] = [[]]
         self.child_tokens: list[set[int]] = [set()]
         self.budget = budget
-
-    @property
-    def remaining(self) -> int:
-        return self.budget - len(self.nodes)
+        self.prev_token = prev_token
 
     def attach(self, parent: int, token: int, source: Source) -> int | None:
         """Add a child unless over budget or duplicating a sibling token."""
-        if self.remaining <= 0 or token in self.child_tokens[parent]:
+        if len(self.nodes) >= self.budget or token in self.child_tokens[parent]:
             return None
-        index = len(self.nodes)
         self.nodes.append(DraftNode(token, source, parent, self.nodes[parent].depth + 1))
-        self.children.append([])
         self.child_tokens.append(set())
-        self.children[parent].append(index)
         self.child_tokens[parent].add(token)
-        return index
+        return len(self.nodes) - 1
+
+    def successors(self, table: AdjacencyTable, index: int, width: int) -> list[tuple[int, float]]:
+        """Table successors of a node, keyed by its parent's token and its own."""
+        node = self.nodes[index]
+        prev = self.prev_token if node.parent == ROOT else self.nodes[node.parent].token
+        return table.successors(prev, node.token, width)
 
 
 def build_spine_tree(
@@ -167,14 +165,14 @@ def build_spine_tree(
 ) -> SpineTree:
     """Assemble the anisotropic draft tree for one decode cycle.
 
-    Step 1 lays the spine chain, step 2 attaches root branches, step 3 spreads
-    spine branches with harmonically decaying widths, and step 4 extends every
-    branch root as a chain of top successors (highest-scoring roots first,
-    each up to its confidence allowance and the depth cap) until the budget
-    runs out. An empty chain yields a transition-only tree; an empty table, a
-    bare chain.
+    Step 1 lays the spine chain, step 2 attaches root branches, and step 3
+    spreads spine branches with harmonically decaying widths. Step 4 extends
+    the branch roots, highest-scoring first, each as the table's top-1 chain
+    (``AdjacencyTable.chain``) of up to its confidence allowance, the depth cap
+    less one and the budget left. An empty chain yields a transition-only
+    tree; an empty table, a bare chain.
     """
-    b = _Builder(anchor, budget.budget)
+    b = _Builder(anchor, budget.budget, prev_token)
     b_s, b_r, b_rho = budget.split(len(chain))
 
     # Step 1: spine chain.
@@ -184,24 +182,15 @@ def build_spine_tree(
         if index is None:
             break
         parent = index
-    spine = [0] + [i for i in range(1, len(b.nodes))]
+    spine = list(range(len(b.nodes)))
 
-    def lookup(node_index: int, width: int) -> list[tuple[int, float]]:
-        node = b.nodes[node_index]
-        if node.parent == ROOT:
-            prev = prev_token
-        else:
-            prev = b.nodes[node.parent].token
-        return table.successors(prev, node.token, width)
-
-    # Branch roots to extend in step 4, with their chain allowances.
-    branch_roots: list[tuple[float, int]] = []
-    allowance: dict[int, int] = {}
+    # Branch roots to extend in step 4: (score, index, chain allowance).
+    branch_roots: list[tuple[float, int, int]] = []
 
     def attach_branches(parent_index: int, count: int) -> None:
         if count <= 0:
             return
-        entries = lookup(parent_index, count + len(b.child_tokens[parent_index]))
+        entries = b.successors(table, parent_index, count + len(b.child_tokens[parent_index]))
         taken: list[tuple[int, float]] = []
         for token, score in entries:
             if len(taken) >= count:
@@ -211,8 +200,7 @@ def build_spine_tree(
                 taken.append((index, score))
         sibling_scores = [s for _, s in taken]
         for index, score in taken:
-            branch_roots.append((score, index))
-            allowance[index] = confidence_width(score, sibling_scores, count)
+            branch_roots.append((score, index, confidence_width(score, sibling_scores, count)))
 
     # Step 2: root branches.
     attach_branches(0, b_r)
@@ -224,23 +212,15 @@ def build_spine_tree(
         for i, node_index in enumerate(spine_chain, start=1):
             attach_branches(node_index, math.floor(b_rho * (1.0 / i) / harmonic))
 
-    # Step 4: extend branch roots as top-successor chains, best scores first.
-    for _score, root_index in sorted(branch_roots, key=lambda r: (-r[0], r[1])):
-        leaf = root_index
-        offset = 0  # depth below the branching point; branch token itself is 0
-        left = allowance.get(root_index, 0)
-        while left > 0 and offset < budget.max_depth - 1 and b.remaining > 0:
-            entries = lookup(leaf, 1 + len(b.child_tokens[leaf]))
-            nxt = None
-            for token, _s in entries:
-                nxt = b.attach(leaf, token, Source.TRANSITION)
-                if nxt is not None:
-                    break
-            if nxt is None:
-                break
-            leaf, offset, left = nxt, offset + 1, left - 1
+    # Step 4: a branch root has no children yet, so no sibling can refuse a
+    # chain token and the table's top-1 chain is its whole extension.
+    for _score, leaf, allowance in sorted(branch_roots, key=lambda r: (-r[0], r[1])):
+        node = b.nodes[leaf]
+        length = min(allowance, budget.max_depth - 1, b.budget - len(b.nodes))
+        for token in table.chain(b.nodes[node.parent].token, node.token, length):
+            leaf = b.attach(leaf, token, Source.TRANSITION)
 
-    return SpineTree(nodes=b.nodes, spine=spine, children=b.children)
+    return SpineTree(nodes=b.nodes, spine=spine)
 
 
 def build_iso_tree(
@@ -259,34 +239,24 @@ def build_iso_tree(
     by score.
     """
     levels, total = iso_levels(fanout, node_budget)
-    b = _Builder(anchor, total + 1)  # + root, which the level budget excludes
+    b = _Builder(anchor, total + 1, prev_token)  # + root, which the level budget excludes
 
-    # Track which node continues the matched chain (path == chain[:depth]).
-    on_chain: dict[int, bool] = {0: bool(chain)}
     frontier = [0]
     for depth in range(1, levels + 1):
         next_frontier: list[int] = []
         for node_index in frontier:
-            node = b.nodes[node_index]
-            prev = prev_token if node.parent == ROOT else b.nodes[node.parent].token
-            pool: list[tuple[int, Source]] = []
-            if on_chain.get(node_index) and len(chain) >= depth:
-                pool.append((chain[depth - 1], Source.CONTEXT))
-            for token, _s in table.successors(prev, node.token, fanout + 1):
-                pool.append((token, Source.TRANSITION))
-            added = 0
+            # The root and the matched chain's path are the only context nodes.
+            pool = [(t, Source.TRANSITION) for t, _s in b.successors(table, node_index, fanout + 1)]
+            if b.nodes[node_index].source is Source.CONTEXT and depth <= len(chain):
+                pool.insert(0, (chain[depth - 1], Source.CONTEXT))
             for token, source in pool:
-                if added >= fanout:
+                if len(b.child_tokens[node_index]) >= fanout:
                     break
                 index = b.attach(node_index, token, source)
-                if index is None:
-                    continue
-                added += 1
-                if source is Source.CONTEXT and on_chain.get(node_index):
-                    on_chain[index] = True
-                next_frontier.append(index)
+                if index is not None:
+                    next_frontier.append(index)
         frontier = next_frontier
-    return SpineTree(nodes=b.nodes, spine=[0], children=b.children)
+    return SpineTree(nodes=b.nodes, spine=[0])
 
 
 def iso_levels(fanout: int, budget: int) -> tuple[int, int]:

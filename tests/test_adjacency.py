@@ -109,6 +109,38 @@ def test_random_harvests_match_reference_dictionary():
             assert all(s >= 0.01 for s in scores)
 
 
+def chain_table(use_bigram: bool = True) -> AdjacencyTable:
+    """Bigram (2, 3) leads to 4, while the unigram tier's best after 3 is 8."""
+    table = AdjacencyTable(use_bigram=use_bigram)
+    table.harvest(
+        [
+            ((1, 2), [(3, 0.5), (9, 0.4)]),
+            ((2, 3), [(4, 0.6)]),
+            ((3, 4), [(5, 0.7)]),
+            ((7, 3), [(8, 0.9)]),
+        ]
+    )
+    return table
+
+
+def test_chain_walks_the_bigram_tier_and_stops_at_a_key_with_no_successors():
+    table = chain_table()
+    assert table.chain(1, 2, 2) == [3, 4]
+    # (4, 5) and 5 have no successors, so the walk ends after three tokens.
+    assert table.chain(1, 2, 10) == [3, 4, 5]
+
+
+def test_chain_walks_the_unigram_tier_when_bigrams_are_off():
+    assert chain_table(use_bigram=False).chain(1, 2, 10) == [3, 8]
+
+
+def test_chain_of_length_zero_is_empty():
+    assert chain_table().chain(1, 2, 0) == []
+    assert AdjacencyTable().chain(None, 2, 4) == []
+    with pytest.raises(ValueError):
+        chain_table().chain(1, 2, -1)
+
+
 def test_confidence_width_ratio_one_returns_base_allocation():
     assert confidence_width(0.4, [0.4, 0.1], 5) == 5
 

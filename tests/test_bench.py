@@ -100,6 +100,16 @@ def test_unknown_engine_fails_before_the_oracle_runs(monkeypatch):
         run_corpus(TINY, "turbo")
 
 
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_jobs_below_one_fail_before_any_prompt_runs(monkeypatch, jobs):
+    def prompt_must_not_run(*_args):
+        raise AssertionError("a prompt ran with jobs below 1")
+
+    monkeypatch.setattr(bench, "run_prompt", prompt_must_not_run)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_corpus(TINY, "spine", jobs=jobs)
+
+
 def test_ablation_table_layout():
     rows = ablation_table(TINY)
     labels = [r["label"] for r in rows]

@@ -185,6 +185,42 @@ def test_bad_config_exits_before_decoding(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["decode", "--corpus", "{corpus}", "--out", "{tmp}/out", "--engine", "turbo"], id="engine"),
+        pytest.param(["decode", "--corpus", "{corpus}", "--out", "{tmp}/out", "--jobs", "0"], id="decode-jobs"),
+        pytest.param(["ablate", "--corpus", "{corpus}", "--jobs", "-4"], id="ablate-jobs"),
+        pytest.param(["theory", "verify-bound", "--corpus", "{corpus}", "--jobs", "x"], id="bound-jobs"),
+        pytest.param(["theory", "yield", "--ps", "0.3"], id="missing-pt-m"),
+        pytest.param(["frobnicate"], id="command"),
+    ],
+)
+def test_argument_errors_exit_one_before_decoding(
+    corpus_file: Path, tmp_path: Path, args, capsys: pytest.CaptureFixture, no_decoding
+):
+    with pytest.raises(SystemExit) as exited:
+        main([arg.format(corpus=corpus_file, tmp=tmp_path) for arg in args])
+    assert exited.value.code == 1
+    assert ": error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args", [["--help"], ["decode", "--help"], ["theory", "yield", "--help"]])
+def test_help_still_exits_zero(args, capsys: pytest.CaptureFixture):
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: spinedec")
+
+
+@pytest.mark.parametrize("widths,entry", [("3,,2", ""), ("3,x,2", "x"), ("3,2,1.5", "1.5")])
+def test_theory_yield_names_a_malformed_width(widths: str, entry: str, capsys: pytest.CaptureFixture):
+    args = ["theory", "yield", "--ps", "0.3", "--pt", "0.1", "--m", "3", "--widths", widths]
+    assert main(args) == 1
+    assert capsys.readouterr().err == f"error: --widths entry {entry!r} is not an integer\n"
+
+
 def _edit(path: str, value=None):
     """An edit of the corpus JSON: set ``a.b`` to ``value``, or drop it when None."""
 

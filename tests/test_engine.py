@@ -5,6 +5,8 @@ from dataclasses import replace
 import pytest
 
 from conftest import ScriptedModel
+from spinedec.adjacency import AdjacencyTable
+from spinedec.context import ContextIndex
 from spinedec.engine import (
     EmaState,
     EngineConfig,
@@ -248,6 +250,22 @@ def test_control_swap_offers_no_context_tokens_but_keeps_shape():
     out, stats = decode("spine", model, (1, 2, 3), 120, config)
     assert stats.offered_by_source["context"] == 0
     reference = ar_decode(make_model("template-repeater", repetition=0.9), (1, 2, 3), 120)
+    assert out.tokens == reference.tokens
+
+
+@pytest.mark.parametrize(
+    "engine,source,method",
+    [("ar", AdjacencyTable, "harvest"), ("context", AdjacencyTable, "harvest"), ("transition", ContextIndex, "extend")],
+)
+def test_engines_feed_no_draft_source_they_never_read(engine, source, method, monkeypatch):
+    # Building a config checks an empty context index, which feeds it nothing.
+    def unread(_self, items):
+        if list(items):
+            raise AssertionError(f"decode({engine!r}) fed {source.__name__}.{method}")
+
+    reference = ar_decode(make_model("template-repeater", repetition=0.9), (1, 2, 3), 120)
+    monkeypatch.setattr(source, method, unread)
+    out, _stats = decode(engine, make_model("template-repeater", repetition=0.9), (1, 2, 3), 120)
     assert out.tokens == reference.tokens
 
 

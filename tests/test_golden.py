@@ -1,7 +1,7 @@
 """Golden reports: a refactor of the decode loop must not move a single byte.
 
-Each case pins the first 16 hex digits of the sha256 of one corpus report.
-The other determinism tests compare two runs of the same code; these compare
+Each case pins the first 16 hex digits of the sha256 of one corpus report
+(or, for the grid, of every engine's tokens and report row). The other determinism tests compare two runs of the same code; these compare
 the code against reports recorded from an earlier version of it.
 """
 
@@ -13,10 +13,10 @@ from dataclasses import replace
 
 import pytest
 
-from spinedec.bench import ABLATION_FLAGS, CorpusSpec, run_corpus
+from spinedec.bench import ABLATION_FLAGS, CorpusSpec, PromptResult, prompts_for, run_corpus
 from spinedec.cli import main
-from spinedec.engine import EngineConfig
-from spinedec.models import SyntheticModelSpec
+from spinedec.engine import ENGINE_KINDS, EngineConfig, decode
+from spinedec.models import SyntheticModelSpec, build_synthetic
 
 GOLDEN = CorpusSpec(
     "golden",
@@ -74,6 +74,34 @@ NO_BIGRAM_DIGESTS = [
 )
 def test_bigram_switch_reaches_every_table_reader(engine, flags, digest):
     assert _digest(engine, replace(EngineConfig(), disable_bigram=True, **flags)) == digest
+
+
+# Every engine under every grid config on every grid model: one 16-token
+# prompt and 64 generated tokens per case, 216 cases in one digest.
+GRID_CONFIGS = [
+    {},
+    *({flag: True} for flag in ABLATION_FLAGS),
+    {"node_budget": 16, "max_tree_depth": 3, "bypass_threshold": 4},
+    {"node_budget": 40, "spine_branch_ratio": 0.3, "ngram_lengths": (2, 3), "ema_init": 0.6},
+    {"min_score_threshold": 0.002, "max_tree_depth": 2},
+]
+GRID_MODELS = [
+    *(SyntheticModelSpec("template-repeater", 7, 64, rep) for rep in (0.9, 0.5, 0.0)),
+    SyntheticModelSpec("markov-order-2", 5, 48, 0.0),
+]
+GRID_DIGEST = "8158b7cef4f35a5b"
+
+
+def test_engine_config_model_grid_matches_golden_digest():
+    digest = hashlib.sha256()
+    for spec in GRID_MODELS:
+        prompt = prompts_for(CorpusSpec("grid", spec, prompts=1, prompt_len=16, max_tokens=64))[0]
+        for engine in ENGINE_KINDS:
+            for flags in GRID_CONFIGS:
+                sequence, stats = decode(engine, build_synthetic(spec), prompt, 64, EngineConfig(**flags))
+                row = PromptResult(0, sequence.tokens, stats).row()
+                digest.update(json.dumps([sequence.tokens, row], sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == GRID_DIGEST
 
 
 # Theory CSVs written by the CLI, pinned the same way: the first 16 hex digits

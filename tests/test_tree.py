@@ -12,7 +12,6 @@ from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import iso_yield, synergy
 from spinedec.tree import (
     Source,
-    SpineTree,
     TreeBudget,
     build_iso_tree,
     build_spine_tree,
@@ -33,11 +32,6 @@ def saturated_table(vocab: int = 40, top_k: int = 10, seed: int = 5) -> Adjacenc
             tokens = rng.sample(range(vocab), top_k)
             table.harvest([((prev, cur), [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
     return table
-
-
-def assert_builder_lists_walk_order(tree: SpineTree) -> None:
-    """The builder's child lists equal the walk order derived from parents alone."""
-    assert SpineTree(nodes=tree.nodes, spine=tree.spine).children == tree.children
 
 
 def test_budget_split_matches_hand_trace():
@@ -178,13 +172,25 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
     )
 
     assert 1 <= len(tree) <= budget
-    assert_builder_lists_walk_order(tree)
-    assert_builder_lists_walk_order(build_iso_tree(anchor, 1 + seed % 5, budget, chain, table, prev))
     # Spine contiguity: CONTEXT nodes form exactly the root chain (none when swapped).
     context_nodes = {i for i in range(1, len(tree)) if tree.nodes[i].source is Source.CONTEXT}
     assert context_nodes == (set() if swap else set(tree.spine[1:]))
     for a, b in zip(tree.spine, tree.spine[1:]):
         assert tree.nodes[b].parent == a
+    # Off the spine, a transition node is extended by its top-1 table successor or not at all.
+    for i in set(range(1, len(tree))) - set(tree.spine):
+        node, kids = tree.nodes[i], tree.children[i]
+        assert node.source is Source.TRANSITION and len(kids) <= 1
+        if kids:
+            top = table.successors(tree.nodes[node.parent].token, node.token, 1)
+            assert [tree.nodes[kids[0]].token] == [t for t, _s in top]
+    # An iso tree's context nodes are one root path spelling the matched chain's prefix.
+    fanout = 1 + seed % 5
+    iso = build_iso_tree(anchor, fanout, budget, chain, table, prev)
+    levels, _total = iso_levels(fanout, budget)
+    path = [i for i in range(1, len(iso)) if iso.nodes[i].source is Source.CONTEXT]
+    assert [iso.nodes[i].parent for i in path] == ([0] + path)[: len(path)]
+    assert tuple(iso.nodes[i].token for i in path) == chain[: min(len(chain), levels)]
     # No duplicate (parent, token) pairs.
     seen = set()
     for i in range(1, len(tree)):
@@ -261,7 +267,6 @@ def test_iso_tree_places_chain_tokens_first():
     table = saturated_table()
     chain = (1, 2, 3)
     tree = build_iso_tree(0, 3, 60, chain, table, prev_token=1)
-    assert_builder_lists_walk_order(tree)
     node = 0
     for depth, token in enumerate(chain, start=1):
         kids = tree.children[node]
@@ -283,7 +288,6 @@ def test_iso_tree_and_iso_yield_share_one_level_count(fanout, budget):
     assert total == sum(fanout**d for d in range(1, levels + 1)) <= budget
     assert total + fanout ** (levels + 1) > budget
     tree = build_iso_tree(0, fanout, budget, (), saturated_table(), prev_token=1)
-    assert_builder_lists_walk_order(tree)
     assert len(tree) - 1 == total
     assert max(node.depth for node in tree.nodes) == levels
     assert iso_yield(fanout, budget, 1.0) == levels + 1  # p_t = 1 accepts every level
