@@ -3,7 +3,9 @@
 Tier 1 keeps the top-K successors of every single token, tier 2 the top-K
 successors of every observed (prev, cur) bigram. Every scored position of
 every model call — accepted or rejected — is merged in, so the table warms up
-far faster than accepted-positions-only harvesting would.
+far faster than accepted-positions-only harvesting would. Writes and reads
+share one key: ``harvest`` takes ``(prev, cur, candidates)`` items, and
+``successors`` and ``chain`` take ``(prev, cur)``.
 
 The table owns its lookup policy: the score threshold (nothing below it is
 stored, so nothing below it is ever returned) and the bigram switch (off, every
@@ -49,22 +51,18 @@ class AdjacencyTable:
     def __len__(self) -> int:
         return len(self.unigram) + len(self.bigram)
 
-    def harvest(self, positions: Iterable[tuple[Sequence[int], Sequence[tuple[int, float]]]]) -> None:
+    def harvest(self, items: Iterable[tuple[int | None, int, Sequence[tuple[int, float]]]]) -> None:
         """Merge scored positions into both tiers.
 
-        Each item is ``(context, candidates)`` where ``context`` is the token
-        path up to and including the position (only the last two tokens are
-        used; one-token contexts feed the unigram tier only).
+        Each item is ``(prev, cur, candidates)``, keyed like ``successors`` and
+        ``chain``; a ``prev`` of None feeds the unigram tier only.
         """
-        for context, candidates in positions:
-            if not context:
-                raise ValueError("harvest context must contain at least one token")
-            cur = context[-1]
+        for prev, cur, candidates in items:
             self.unigram[cur] = _merge(
                 self.unigram.get(cur, []), candidates, self.top_k, self.min_score
             )
-            if len(context) >= 2:
-                key = (context[-2], cur)
+            if prev is not None:
+                key = (prev, cur)
                 self.bigram[key] = _merge(
                     self.bigram.get(key, []), candidates, self.top_k, self.min_score
                 )

@@ -16,7 +16,7 @@ import math
 import random
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -42,13 +42,8 @@ __all__ = [
 
 QUARTILE_METHOD = "inclusive (statistics.quantiles, n=4)"
 
-ABLATION_FLAGS = (
-    "disable_spine_branches",
-    "disable_bigram",
-    "disable_bypass",
-    "disable_spine",
-    "control_swap_sources",
-)
+# The ablation switches are exactly ``EngineConfig``'s bool fields, in field order.
+ABLATION_FLAGS = tuple(f.name for f in fields(EngineConfig) if f.type == "bool")
 
 
 class LosslessnessError(AssertionError):

@@ -1,9 +1,10 @@
 """Command-line front end: corpus generation, decoding, ablation, theory.
 
 All outputs are deterministic functions of the arguments; CSV column orders
-are fixed. Bad input (a malformed argument, corpus, config or settings file)
-exits 1 before any decoding; exit 2 means only that an engine's output
-diverged from the autoregressive reference.
+are fixed. Bad input (a malformed argument, corpus, config or settings file,
+or a path that names a directory or cannot be read) exits 1 before any
+decoding; exit 2 means only that an engine's output diverged from the
+autoregressive reference.
 """
 
 from __future__ import annotations
@@ -333,7 +334,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except LosslessnessError as err:
         print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

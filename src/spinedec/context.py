@@ -25,9 +25,6 @@ class MatchResult:
     chain: tuple[int, ...] = ()
     consensus: bool = False
 
-    def __bool__(self) -> bool:
-        return bool(self.chain)
-
 
 class ContextIndex:
     """Incremental n-gram index; equivalent to re-scanning from scratch.

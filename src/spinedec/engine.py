@@ -9,13 +9,13 @@ and an EMA of spine acceptance retunes the spine ratio each cycle. An engine
 keeps only the draft sources its route policy reads: the table for a tree
 route, the context index unless the spine is disabled.
 
-The context, transition, iso-k and AR baselines run the same loop with config
-overrides and another tree kind (``_ENGINES``); AR is the policy with no draft
-source, so each of its cycles is the single-step fallback. All engines share
-one verification path, and none calls ``ar_decode``, the oracle they are
-checked against. Output is provably identical to plain greedy decoding: a
-token is only ever emitted after the target model predicted it at its exact
-position.
+The context, transition, iso3, iso5 and AR baselines run the same loop with
+config overrides and another tree kind, one named row each in ``_ENGINES``;
+AR is the policy with no draft source, so each of its cycles is the
+single-step fallback. All engines share one verification path, and none
+calls ``ar_decode``, the oracle they are checked against. Output is provably
+identical to plain greedy decoding: a token is only ever emitted after the
+target model predicted it at its exact position.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ __all__ = [
     "ENGINE_KINDS",
 ]
 
-ENGINE_KINDS = ("spine", "context", "transition", "iso3", "iso5", "ar")
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """All decode hyperparameters; defaults are fixed across experiments."""
@@ -62,7 +59,7 @@ class EngineConfig:
     # catch-all for estimates at or above the final bound.
     spine_ratio_tiers: tuple[tuple[float, float], ...] = ((0.2, 0.15), (0.4, 0.30), (1.0, 0.50))
     bypass_threshold: int = 8
-    # Ablation switches.
+    # Ablation switches: every bool field is one (``bench.ABLATION_FLAGS``).
     disable_spine_branches: bool = False
     disable_bigram: bool = False
     disable_bypass: bool = False
@@ -278,7 +275,7 @@ def _ar_step(run: _Run, kind: str, scored_from: int) -> None:
     response = run.model.score_tree(ModelQuery(base=tuple(history), scored_from=scored_from))
     if run.table is not None:
         run.table.harvest(
-            (tuple(history[max(0, i - 1): i + 1]), prediction.top_k)
+            (history[i - 1] if i else None, history[i], prediction.top_k)
             for i, prediction in enumerate(response.base, start=scored_from)
         )
     run.emit(kind, [response.base[-1].token], PathCategory.EMPTY)
@@ -288,9 +285,9 @@ def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
     """Harvest every scored node, emit the accepted path, and retune the EMA."""
     tree, response = walk.tree, walk.response
     if run.table is not None:
-        items = [(tuple(run.history[-2:]), response.base[-1].top_k)]
+        items = [(run.history[-2], run.history[-1], response.base[-1].top_k)]
         for node, prediction in zip(tree.nodes[1:], response.nodes):
-            items.append(((tree.nodes[node.parent].token, node.token), prediction.top_k))
+            items.append((tree.nodes[node.parent].token, node.token, prediction.top_k))
         run.table.harvest(items)
     offered = Counter(node.source for node in tree.nodes[1:])
     accepted = Counter(tree.nodes[i].source for i in walk.accepted)
@@ -367,23 +364,27 @@ def _decode_loop(
     return TokenSequence(tokens=tuple(run.out)), run.stats
 
 
-# Every engine is the loop above under a route policy: config overrides plus
-# the tree it builds ("spine", "iso" with the fan-out taken from the name, or
-# None for no tree route).
-_ENGINES: dict[str, tuple[dict[str, object], str | None]] = {
-    "spine": ({}, "spine"),
+# Every engine is the loop above under a route policy: config overrides, the
+# tree it builds ("spine", "iso" or None for no tree route) and the iso
+# fan-out.
+_ENGINES: dict[str, tuple[dict[str, object], str | None, int]] = {
+    "spine": ({}, "spine", 0),
     # N-gram match plus linear verification only: every match is bypassed.
     "context": (
         dict(bypass_threshold=1, disable_bypass=False, disable_spine=False, control_swap_sources=False),
         None,
+        0,
     ),
     # Adjacency-only spine tree: no context spine, no bypass.
-    "transition": (dict(disable_spine=True, disable_bypass=True), "spine"),
-    # Balanced k-ary tree over the same candidate pool.
-    "iso": (dict(disable_bypass=True), "iso"),
+    "transition": (dict(disable_spine=True, disable_bypass=True), "spine", 0),
+    # Balanced k-ary trees over the same candidate pool.
+    "iso3": (dict(disable_bypass=True), "iso", 3),
+    "iso5": (dict(disable_bypass=True), "iso", 5),
     # No draft source at all: every cycle after prefill is one AR step.
-    "ar": (dict(disable_spine=True, disable_bypass=True), None),
+    "ar": (dict(disable_spine=True, disable_bypass=True), None, 0),
 }
+
+ENGINE_KINDS = tuple(_ENGINES)
 
 
 def decode(
@@ -393,15 +394,12 @@ def decode(
     max_tokens: int,
     config: EngineConfig | None = None,
 ) -> tuple[TokenSequence, DecodeStats]:
-    """Decode with a named engine: spine, context, transition, iso<k> or ar.
+    """Decode with one of the engines named in ``ENGINE_KINDS``.
 
     Output equals ``ar_decode`` exactly for every engine.
     """
-    kind, fanout = engine, 0
-    if engine.startswith("iso") and engine[3:].isdigit():
-        kind, fanout = "iso", int(engine[3:])
-    if kind not in _ENGINES or (kind == "iso" and fanout < 1):
+    if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
-    overrides, tree_kind = _ENGINES[kind]
+    overrides, tree_kind, fanout = _ENGINES[engine]
     config = replace(config or EngineConfig(), **overrides)
     return _decode_loop(model, prompt, max_tokens, config, tree_kind, fanout)

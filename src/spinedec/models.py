@@ -42,6 +42,14 @@ _MASK64 = (1 << 64) - 1
 _FNV_PRIME = 0x100000001B3
 
 
+# Fixed descending score shape for template-repeater candidate lists; the tail
+# drops below the 0.01 harvesting threshold on purpose. Its length is the
+# candidate width of both families.
+_TEMPLATE_SCORES = (0.52, 0.18, 0.108, 0.0648, 0.03888, 0.023328, 0.0139968,
+                    0.00839808, 0.005038848, 0.0030233088)
+_TOP_K = len(_TEMPLATE_SCORES)
+
+
 def _mix64(h: int) -> int:
     # splitmix64 finalizer; stable across platforms and Python versions.
     h &= _MASK64
@@ -183,13 +191,13 @@ class _SyntheticModel:
     at a time, so scoring a query costs O(len(base) + len(nodes)).
     """
 
-    def __init__(self, seed: int, vocab_size: int, top_k: int = 10):
+    def __init__(self, seed: int, vocab_size: int):
         if vocab_size < 2:
             raise ValueError(f"vocab_size must be >= 2, got {vocab_size}")
         self.seed = seed
         self.vocab_size = vocab_size
         self.eos_token = vocab_size - 1
-        self.top_k = top_k
+        self.top_k = min(_TOP_K, vocab_size - 1)
         self._seed_mix = _mix64((seed & _MASK64) ^ 0x6A09E667F3BCC909)
 
     # -- state plumbing ----------------------------------------------------
@@ -260,8 +268,8 @@ class MarkovModel(_SyntheticModel):
     EOS (V-1) is reserved and never drawn as a successor.
     """
 
-    def __init__(self, seed: int, vocab_size: int, top_k: int = 10):
-        super().__init__(seed, vocab_size, top_k)
+    def __init__(self, seed: int, vocab_size: int):
+        super().__init__(seed, vocab_size)
         self._dists: dict[tuple[int, ...], Prediction] = {}
 
     def _dist(self, context: tuple[int, ...]) -> Prediction:
@@ -271,9 +279,8 @@ class MarkovModel(_SyntheticModel):
         key = ":".join(str(c) for c in context)
         tag = "u" if len(context) == 1 else "b"
         rng = random.Random(f"{self.seed}:{tag}:{key}")
-        k = min(self.top_k, self.vocab_size - 1)
-        tokens = rng.sample(range(self.vocab_size - 1), k)
-        weights = sorted((rng.random() ** 2 for _ in range(k)), reverse=True)
+        tokens = rng.sample(range(self.vocab_size - 1), self.top_k)
+        weights = sorted((rng.random() ** 2 for _ in range(self.top_k)), reverse=True)
         total = sum(weights)
         entries = sorted(
             ((t, w / total) for t, w in zip(tokens, weights)),
@@ -289,12 +296,6 @@ class MarkovModel(_SyntheticModel):
         return self._dist(context)
 
 
-# Fixed descending score shape for template-repeater candidate lists; the tail
-# drops below the 0.01 harvesting threshold on purpose.
-_TEMPLATE_SCORES = (0.52, 0.18, 0.108, 0.0648, 0.03888, 0.023328, 0.0139968,
-                    0.00839808, 0.005038848, 0.0030233088)
-
-
 class TemplateRepeaterModel(_SyntheticModel):
     """Follows a seeded template cycle, deviating at rate ``1 - repetition``.
 
@@ -304,8 +305,8 @@ class TemplateRepeaterModel(_SyntheticModel):
     cycle. ``repetition=1.0`` reproduces the template cycle verbatim.
     """
 
-    def __init__(self, seed: int, vocab_size: int, repetition: float, top_k: int = 10):
-        super().__init__(seed, vocab_size, top_k)
+    def __init__(self, seed: int, vocab_size: int, repetition: float):
+        super().__init__(seed, vocab_size)
         if not (0.0 <= repetition <= 1.0):
             raise ValueError(f"repetition must be in [0, 1], got {repetition}")
         self.repetition = repetition
@@ -342,7 +343,7 @@ class TemplateRepeaterModel(_SyntheticModel):
         cached = self._alts.get(key)
         if cached is None:
             rng = random.Random(f"{self.seed}:alt:{prev}:{cur}")
-            n = min(self.top_k + 2, self.vocab_size - 1)
+            n = min(_TOP_K + 2, self.vocab_size - 1)
             cached = tuple(rng.sample(range(self.vocab_size - 1), n))
             self._alts[key] = cached
         return cached
@@ -354,7 +355,7 @@ class TemplateRepeaterModel(_SyntheticModel):
         if successor != predicted:
             chosen.append(successor)
         for alt in self._alternates(prev, cur):
-            if len(chosen) >= min(self.top_k, self.vocab_size - 1):
+            if len(chosen) >= self.top_k:
                 break
             if alt not in chosen:
                 chosen.append(alt)

@@ -30,12 +30,11 @@ class PathCategory:
 
 @dataclass(frozen=True)
 class WalkResult:
-    """The verified tree, its accepted root path, bonus token and source category."""
+    """The verified tree, its accepted root path, its tokens and their source category."""
 
     tree: SpineTree
     accepted: tuple[int, ...]  # node indices along the accepted root path
     tokens: tuple[int, ...]    # accepted tokens followed by the bonus token
-    bonus: int
     category: str
     response: ModelResponse    # the single scoring pass behind the walk
 
@@ -80,12 +79,10 @@ def unified_greedy_walk(model: TargetModel, tree: SpineTree, base: Sequence[int]
         accepted.append(child)
         current = child
     bonus = prediction(current).token
-    tokens = tuple(tree.nodes[i].token for i in accepted) + (bonus,)
     return WalkResult(
         tree=tree,
         accepted=tuple(accepted),
-        tokens=tokens,
-        bonus=bonus,
+        tokens=tuple(tree.nodes[i].token for i in accepted) + (bonus,),
         category=_categorize([tree.nodes[i].source for i in accepted]),
         response=response,
     )

@@ -9,7 +9,7 @@ from spinedec.adjacency import AdjacencyTable, confidence_width
 
 def test_single_harvest_lands_in_both_tiers_sorted():
     table = AdjacencyTable()
-    table.harvest([((3, 4), [(9, 0.2), (1, 0.5), (7, 0.3)])])
+    table.harvest([(3, 4, [(9, 0.2), (1, 0.5), (7, 0.3)])])
     expected = [(1, 0.5), (7, 0.3), (9, 0.2)]
     assert table.bigram[(3, 4)] == expected
     assert table.unigram[4] == expected
@@ -17,27 +17,22 @@ def test_single_harvest_lands_in_both_tiers_sorted():
 
 def test_latest_score_wins_for_a_repeated_successor():
     table = AdjacencyTable()
-    table.harvest([((3, 4), [(1, 0.5), (7, 0.3)])])
-    table.harvest([((3, 4), [(1, 0.05)])])
+    table.harvest([(3, 4, [(1, 0.5), (7, 0.3)])])
+    table.harvest([(3, 4, [(1, 0.05)])])
     assert table.bigram[(3, 4)] == [(7, 0.3), (1, 0.05)]
 
 
 def test_one_token_context_feeds_unigram_only():
     table = AdjacencyTable()
-    table.harvest([((4,), [(1, 0.5)])])
+    table.harvest([(None, 4, [(1, 0.5)])])
     assert table.unigram[4] == [(1, 0.5)]
     assert not table.bigram
 
 
-def test_empty_context_is_an_input_error():
-    with pytest.raises(ValueError):
-        AdjacencyTable().harvest([((), [(1, 0.5)])])
-
-
 def test_successors_prefers_bigram_and_truncates():
     table = AdjacencyTable()
-    table.harvest([((3, 4), [(i, 0.5 - 0.05 * i) for i in range(5)])])
-    table.harvest([((4,), [(9, 0.9)])])
+    table.harvest([(3, 4, [(i, 0.5 - 0.05 * i) for i in range(5)])])
+    table.harvest([(None, 4, [(9, 0.9)])])
     assert table.successors(3, 4, 3) == [(0, 0.5), (1, 0.45), (2, 0.4)]
     # Unigram fallback when the bigram key is missing.
     assert table.successors(8, 4, 3)[0][0] == 9
@@ -46,26 +41,26 @@ def test_successors_prefers_bigram_and_truncates():
 def test_successors_width_zero_and_empty_table():
     table = AdjacencyTable()
     assert table.successors(1, 2, 4) == []
-    table.harvest([((1, 2), [(5, 0.5)])])
+    table.harvest([(1, 2, [(5, 0.5)])])
     assert table.successors(1, 2, 0) == []
 
 
 def test_successors_bigram_disabled_uses_unigram():
     table = AdjacencyTable(use_bigram=False)
-    table.harvest([((1, 2), [(5, 0.5)])])
+    table.harvest([(1, 2, [(5, 0.5)])])
     table.unigram[2] = [(8, 0.4)]
     assert table.successors(1, 2, 2) == [(8, 0.4)]
 
 
 def test_entries_below_threshold_are_dropped():
     table = AdjacencyTable()
-    table.harvest([((3, 4), [(1, 0.5), (2, 0.009)])])
+    table.harvest([(3, 4, [(1, 0.5), (2, 0.009)])])
     assert table.bigram[(3, 4)] == [(1, 0.5)]
 
 
 def test_truncation_to_top_k():
     table = AdjacencyTable(top_k=3)
-    table.harvest([((3, 4), [(i, 0.1 * (9 - i)) for i in range(9)])])
+    table.harvest([(3, 4, [(i, 0.1 * (9 - i)) for i in range(9)])])
     assert [t for t, _ in table.bigram[(3, 4)]] == [0, 1, 2]
 
 
@@ -81,7 +76,7 @@ def test_random_harvests_match_reference_dictionary():
         reference[key] = {t: s for t, s in ordered if s >= 0.01}
 
     for _ in range(1000):
-        context = tuple(rng.randrange(6) for _ in range(rng.choice((1, 2)))) or (0,)
+        prev, cur = rng.choice((None, rng.randrange(6))), rng.randrange(6)
         candidates = [
             (rng.randrange(12), round(rng.random(), 3)) for _ in range(rng.randint(1, 5))
         ]
@@ -89,10 +84,10 @@ def test_random_harvests_match_reference_dictionary():
         for t, s in candidates:
             dedup[t] = s
         candidates = list(dedup.items())
-        table.harvest([(context, candidates)])
-        reference_merge(context[-1], candidates)
-        if len(context) == 2:
-            reference_merge((context[0], context[1]), candidates)
+        table.harvest([(prev, cur, candidates)])
+        reference_merge(cur, candidates)
+        if prev is not None:
+            reference_merge((prev, cur), candidates)
 
     for key, kept in reference.items():
         expected = sorted(kept.items(), key=lambda e: (-e[1], e[0]))
@@ -114,10 +109,10 @@ def chain_table(use_bigram: bool = True) -> AdjacencyTable:
     table = AdjacencyTable(use_bigram=use_bigram)
     table.harvest(
         [
-            ((1, 2), [(3, 0.5), (9, 0.4)]),
-            ((2, 3), [(4, 0.6)]),
-            ((3, 4), [(5, 0.7)]),
-            ((7, 3), [(8, 0.9)]),
+            (1, 2, [(3, 0.5), (9, 0.4)]),
+            (2, 3, [(4, 0.6)]),
+            (3, 4, [(5, 0.7)]),
+            (7, 3, [(8, 0.9)]),
         ]
     )
     return table

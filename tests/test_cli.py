@@ -305,6 +305,23 @@ def test_bad_bound_settings_exit_before_decoding(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["decode", "--corpus", "{tmp}", "--out", "{tmp}/out"], id="decode-corpus"),
+        pytest.param(["decode", "--corpus", "{corpus}", "--config", "{tmp}", "--out", "{tmp}/out"], id="decode-config"),
+        pytest.param(["ablate", "--corpus", "{tmp}", "--out", "{tmp}/out"], id="ablate-corpus"),
+        pytest.param(["theory", "verify-bound", "--settings", "{tmp}", "--out", "{tmp}/out"], id="bound-settings"),
+    ],
+)
+def test_directory_path_exits_one_before_decoding(
+    corpus_file: Path, tmp_path: Path, args, capsys: pytest.CaptureFixture, no_decoding
+):
+    assert main([arg.format(corpus=corpus_file, tmp=tmp_path) for arg in args]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--iso-fanout", "--trials"])
 def test_bad_bound_counts_exit_before_decoding(
     corpus_file: Path, tmp_path: Path, flag: str, capsys: pytest.CaptureFixture, no_decoding

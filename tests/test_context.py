@@ -21,7 +21,6 @@ def test_simple_repeat_yields_earlier_continuation():
 def test_no_earlier_occurrence_is_empty_not_an_error():
     result = ContextIndex([7, 8, 9]).match()
     assert result.chain == () and not result.consensus
-    assert not result
 
 
 def test_history_shorter_than_min_length_is_empty():

@@ -8,6 +8,7 @@ from conftest import ScriptedModel
 from spinedec.adjacency import AdjacencyTable
 from spinedec.context import ContextIndex
 from spinedec.engine import (
+    ENGINE_KINDS,
     EmaState,
     EngineConfig,
     decode,
@@ -272,6 +273,13 @@ def test_engines_feed_no_draft_source_they_never_read(engine, source, method, mo
 def test_unknown_engine_kind_rejected():
     with pytest.raises(ValueError):
         decode("turbo", make_model("markov-order-2"), (1,), 4)
+
+
+@pytest.mark.parametrize("engine", ["iso", "iso0", "iso4"])
+def test_only_listed_iso_engines_decode(engine):
+    assert engine not in ENGINE_KINDS
+    with pytest.raises(ValueError):
+        decode(engine, make_model("markov-order-2"), (1,), 4)
 
 
 def test_ar_engine_scores_through_the_loop_not_the_oracle():

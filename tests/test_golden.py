@@ -50,6 +50,13 @@ def _digest(engine: str, config: EngineConfig) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
+def test_every_engine_and_ablation_flag_is_pinned():
+    # Both lists are derived (from the engine table and from EngineConfig's
+    # bool fields), so a new row or switch must arrive with its digest.
+    assert set(ENGINE_DIGESTS) == set(ENGINE_KINDS)
+    assert len(FLAG_DIGESTS) == len(ABLATION_FLAGS)
+
+
 @pytest.mark.parametrize("engine", sorted(ENGINE_DIGESTS))
 def test_engine_report_matches_golden_digest(engine):
     assert _digest(engine, EngineConfig()) == ENGINE_DIGESTS[engine]

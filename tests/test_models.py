@@ -96,6 +96,8 @@ def test_top_k_coherence(spec):
         assert scores == sorted(scores, reverse=True)
         tokens = [t for t, _ in pred.top_k]
         assert len(tokens) == len(set(tokens))
+        # Both families give one fixed candidate width, capped by the vocabulary.
+        assert len(pred.top_k) == min(10, VOCAB - 1)
         # Deterministic tie-break: ordering key is (score desc, token asc).
         assert list(pred.top_k) == sorted(pred.top_k, key=lambda e: (-e[1], e[0]))
 

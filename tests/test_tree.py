@@ -27,10 +27,10 @@ def saturated_table(vocab: int = 40, top_k: int = 10, seed: int = 5) -> Adjacenc
     table = AdjacencyTable(top_k=top_k)
     for cur in range(vocab):
         tokens = rng.sample(range(vocab), top_k)
-        table.harvest([((cur,), [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
+        table.harvest([(None, cur, [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
         for prev in range(vocab):
             tokens = rng.sample(range(vocab), top_k)
-            table.harvest([((prev, cur), [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
+            table.harvest([(prev, cur, [(t, 0.9 - 0.05 * i) for i, t in enumerate(tokens)])])
     return table
 
 
@@ -46,9 +46,9 @@ def test_hand_traced_small_tree():
     table = AdjacencyTable()
     table.harvest(
         [
-            ((0, 1), [(7, 0.5), (8, 0.3), (4, 0.2)]),   # anchor context; 4 duplicates the spine
-            ((1, 4), [(9, 0.4), (5, 0.35), (10, 0.2)]),  # spine node 1; 5 duplicates d_2
-            ((4, 5), [(11, 0.6)]),                       # spine node 2
+            (0, 1, [(7, 0.5), (8, 0.3), (4, 0.2)]),   # anchor context; 4 duplicates the spine
+            (1, 4, [(9, 0.4), (5, 0.35), (10, 0.2)]),  # spine node 1; 5 duplicates d_2
+            (4, 5, [(11, 0.6)]),                       # spine node 2
         ]
     )
     tree = build_spine_tree(1, (4, 5), table, TreeBudget(budget=8), prev_token=0)
@@ -101,9 +101,9 @@ def test_table_threshold_is_the_only_score_threshold():
     table = AdjacencyTable(min_score=0.001)
     table.harvest(
         [
-            ((0,), [(5, 0.02), (6, 0.005)]),
-            ((0, 5), [(8, 0.5)]),
-            ((0, 6), [(7, 0.5)]),
+            (None, 0, [(5, 0.02), (6, 0.005)]),
+            (0, 5, [(8, 0.5)]),
+            (0, 6, [(7, 0.5)]),
         ]
     )
     tree = build_spine_tree(0, (), table, TreeBudget(budget=10), prev_token=None)
@@ -159,9 +159,9 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
     rng = random.Random(seed)
     table = AdjacencyTable(top_k=6)
     for _ in range(rng.randint(0, 60)):
-        context = tuple(rng.randrange(24) for _ in range(rng.choice((1, 2))))
+        key_prev, key_cur = rng.choice((None, rng.randrange(24))), rng.randrange(24)
         table.harvest(
-            [(context, [(rng.randrange(24), round(rng.uniform(0.02, 0.9), 3)) for _ in range(6)])]
+            [(key_prev, key_cur, [(rng.randrange(24), round(rng.uniform(0.02, 0.9), 3)) for _ in range(6)])]
         )
     chain = tuple(rng.randrange(24) for _ in range(chain_len))
     tree_budget = TreeBudget(budget=budget, spine_ratio=ratio)
@@ -215,7 +215,7 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
 
 def test_tree_query_remaps_ancestors_and_sets_scored_from():
     table = AdjacencyTable()
-    table.harvest([((0,), [(5, 0.5)])])
+    table.harvest([(None, 0, [(5, 0.5)])])
     tree = build_spine_tree(3, (4,), table, TreeBudget(budget=8), prev_token=0)
     query = tree_query(tree, (9, 3))
     assert query.scored_from == 1
@@ -233,7 +233,7 @@ def test_tree_query_requires_anchor_as_last_base_token():
 
 def test_dump_golden():
     table = AdjacencyTable()
-    table.harvest([((0, 1), [(7, 0.5)]), ((1, 4), [(9, 0.4)])])
+    table.harvest([(0, 1, [(7, 0.5)]), (1, 4, [(9, 0.4)])])
     tree = build_spine_tree(1, (4, 5), table, TreeBudget(budget=6), prev_token=0)
     assert tree.dump() == "\n".join(
         [

@@ -29,7 +29,7 @@ def test_linear_verify_accepts_whole_agreeing_chain():
     chain = (5, 6, 7)  # the unscripted model continues with +1 steps
     result = linear_verify(model, chain, base)
     assert result.accepted_tokens == chain
-    assert result.bonus == 8
+    assert result.tokens[-1] == 8
     assert result.tokens == (5, 6, 7, 8)
     assert result.category == PathCategory.PURE_CONTEXT
     assert model.calls == 1
@@ -39,7 +39,7 @@ def test_linear_verify_first_token_mismatch_still_progresses():
     model = ScriptedModel(vocab_size=32)
     result = linear_verify(model, (9,), (4,))
     assert result.accepted_tokens == ()
-    assert result.bonus == 5  # the correct continuation of 4
+    assert result.tokens[-1] == 5  # the correct continuation of 4
     assert result.category == PathCategory.EMPTY
     assert model.calls == 1
 
@@ -53,7 +53,7 @@ def test_linear_verify_mismatch_at_position_seven():
     result = linear_verify(model, chain, base)
     assert len(result.accepted_tokens) == 6
     assert result.accepted_tokens == chain[:6]
-    assert result.bonus == 50  # the prediction at position 6
+    assert result.tokens[-1] == 50  # the prediction at position 6
     assert model.calls == 1
 
 
@@ -71,7 +71,7 @@ def test_walk_no_child_matches_yields_bonus_only():
     tree = manual_tree(4, [(9, Source.CONTEXT, 0), (11, Source.TRANSITION, 0)])
     result = unified_greedy_walk(model, tree, (4,))
     assert result.accepted == ()
-    assert result.bonus == 5
+    assert result.tokens[-1] == 5
     assert result.category == PathCategory.EMPTY
     assert model.calls == 1
 
