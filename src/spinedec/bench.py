@@ -224,7 +224,6 @@ def run_corpus(
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda i: run_prompt(spec, i, engine, config), ids))
-    results.sort(key=lambda r: r.prompt_id)
     return RunReport(corpus=spec, engine=engine, config=config, results=tuple(results))
 
 

@@ -2,9 +2,9 @@
 
 All outputs are deterministic functions of the arguments; CSV column orders
 are fixed. Bad input (a malformed argument, corpus, config or settings file,
-or a path that names a directory or cannot be read) exits 1 before any
-decoding; exit 2 means only that an engine's output diverged from the
-autoregressive reference.
+a path that names a directory or cannot be read, or an --out that names a
+file) exits 1 before any decoding; exit 2 means only that an engine's output
+diverged from the autoregressive reference.
 """
 
 from __future__ import annotations
@@ -102,8 +102,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     toggles = {f: True for f in ABLATION_FLAGS if getattr(args, f)}
     if toggles:
         config = replace(config, **toggles)
-    report = run_corpus(spec, args.engine, config, jobs=args.jobs)
     out_dir = Path(args.out)
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+    report = run_corpus(spec, args.engine, config, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     rows = [r.row() for r in report.results]

@@ -1,13 +1,15 @@
 """The speculative decode loop; every baseline engine is a route policy on it.
 
-Each cycle routes by confidence: a long or consensus-backed context match is
-verified as a bare linear chain (bypass); otherwise any available draft source
-builds a spine tree verified by the unified greedy walk; with no source at
-all, the cycle degrades to a single autoregressive step. Every scored
-position, including rejected branches, is harvested into the adjacency table,
-and an EMA of spine acceptance retunes the spine ratio each cycle. An engine
-keeps only the draft sources its route policy reads: the table for a tree
-route, the context index unless the spine is disabled.
+Each cycle, the pure ``_plan`` routes by confidence and names its reason: a
+long or consensus-backed context match is verified as a bare linear chain
+(``bypass:long``, ``bypass:consensus``); otherwise any available draft source
+builds a spine tree verified by the unified greedy walk (``tree``); with no
+source, or no tree node past the root, the cycle degrades to one AR step
+(``fallback:no-source``, ``fallback:empty-tree``). The first call is
+``prefill``. Every scored position, including rejected branches, is harvested
+into the adjacency table, and an EMA of spine acceptance retunes the spine
+ratio each cycle. An engine keeps only the draft sources its route policy
+reads: the table for a tree route, the context index unless the spine is off.
 
 The context, transition, iso3, iso5 and AR baselines run the same loop with
 config overrides and another tree kind, one named row each in ``_ENGINES``;
@@ -28,7 +30,7 @@ from typing import Sequence
 from .adjacency import AdjacencyTable
 from .context import ContextIndex, MatchResult
 from .models import ModelQuery, TargetModel, TokenSequence, check_field_types, fields_from_json, is_kind
-from .tree import Source, TreeBudget, build_iso_tree, build_spine_tree
+from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
 
 __all__ = [
@@ -152,14 +154,14 @@ def spine_ratio_tier(estimate: float, tiers: Sequence[tuple[float, float]]) -> f
 
 @dataclass(frozen=True)
 class CycleRecord:
-    """Bookkeeping for one model call.
+    """Bookkeeping for one model call and the ``CyclePlan`` reason that routed it.
 
-    ``offered_*``/``accepted_*`` are verification outcomes (pre-truncation);
-    ``emitted``/``accepted_emitted``/``bonus_emitted`` count tokens actually
-    appended to the output after the length/EOS cut.
+    ``kind`` is the route, the reason's prefix. ``offered_*``/``accepted_*``
+    are verification outcomes (pre-truncation); ``emitted``, ``accepted_emitted``
+    and ``bonus_emitted`` count tokens appended after the length/EOS cut.
     """
 
-    kind: str  # "prefill" | "bypass" | "tree" | "fallback"
+    reason: str
     emitted: int
     accepted_emitted: int
     bonus_emitted: int
@@ -170,6 +172,10 @@ class CycleRecord:
     accepted_transition: int = 0
     offered_spine: int = 0
     accepted_spine: int = 0
+
+    @property
+    def kind(self) -> str:  # "prefill" | "bypass" | "tree" | "fallback"
+        return self.reason.partition(":")[0]
 
 
 @dataclass
@@ -230,6 +236,8 @@ class _Run:
                  config: EngineConfig, tree_kind: str | None):
         if not prompt:
             raise ValueError("prompt must be non-empty")
+        if max_tokens < 0:
+            raise ValueError("max_tokens must be >= 0")
         self.model = model
         self.max_tokens = max_tokens
         self.history: list[int] = list(prompt)
@@ -245,7 +253,7 @@ class _Run:
             bool(self.out) and self.out[-1] == self.model.eos_token
         )
 
-    def emit(self, kind: str, appended: Sequence[int], category: str,
+    def emit(self, reason: str, appended: Sequence[int], category: str,
              accepted_count: int = 0, **counts: int) -> None:
         """Append tokens subject to the length/EOS cut and record the cycle."""
         allowed = self.max_tokens - len(self.out)
@@ -259,7 +267,7 @@ class _Run:
         accepted_emitted = min(len(emit), accepted_count)
         self.stats.records.append(
             CycleRecord(
-                kind=kind,
+                reason=reason,
                 emitted=len(emit),
                 accepted_emitted=accepted_emitted,
                 bonus_emitted=len(emit) - accepted_emitted,
@@ -269,19 +277,20 @@ class _Run:
         )
 
 
-def _ar_step(run: _Run, kind: str, scored_from: int) -> None:
+def _ar_step(run: _Run, reason: str) -> None:
     """One plain model call: harvest every scored position into a kept table, emit the prediction."""
     history = run.history
+    scored_from = 0 if reason == "prefill" else len(history) - 1  # prefill scores the whole prompt
     response = run.model.score_tree(ModelQuery(base=tuple(history), scored_from=scored_from))
     if run.table is not None:
         run.table.harvest(
             (history[i - 1] if i else None, history[i], prediction.top_k)
             for i, prediction in enumerate(response.base, start=scored_from)
         )
-    run.emit(kind, [response.base[-1].token], PathCategory.EMPTY)
+    run.emit(reason, [response.base[-1].token], PathCategory.EMPTY)
 
 
-def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
+def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
     """Harvest every scored node, emit the accepted path, and retune the EMA."""
     tree, response = walk.tree, walk.response
     if run.table is not None:
@@ -294,7 +303,7 @@ def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
     spine = set(tree.spine[1:])
     accepted_spine = sum(1 for i in walk.accepted if i in spine)
     run.emit(
-        kind, walk.tokens, walk.category,
+        reason, walk.tokens, walk.category,
         accepted_count=len(walk.accepted),
         offered_context=offered[Source.CONTEXT],
         offered_transition=offered[Source.TRANSITION],
@@ -306,67 +315,56 @@ def _finish_walk(run: _Run, kind: str, walk: WalkResult) -> None:
     run.ema = update_ema(run.ema, accepted_spine / len(spine) if spine else 0.0)
 
 
-def _decode_loop(
-    model: TargetModel,
-    prompt: Sequence[int],
-    max_tokens: int,
-    config: EngineConfig,
-    tree_kind: str | None,
-    fanout: int,
-) -> tuple[TokenSequence, DecodeStats]:
-    if max_tokens < 0:
-        raise ValueError("max_tokens must be >= 0")
-    run = _Run(model, prompt, max_tokens, config, tree_kind)
-    if max_tokens == 0:
-        return TokenSequence(tokens=()), run.stats
-    _ar_step(run, "prefill", 0)
+@dataclass(frozen=True)
+class CyclePlan:
+    """One cycle's route and why; ``decode`` only executes it.
 
-    while not run.done:
-        anchor = run.history[-1]
-        prev = run.history[-2]
-        match = MatchResult() if run.index is None else run.index.match()
-        # The spine's draft is the matched chain or, under the source-swap
-        # control, a table walk of the same length.
-        draft, source = match.chain, Source.CONTEXT
-        if config.control_swap_sources and match.chain:
-            draft = run.table.chain(prev, anchor, len(match.chain))
-            source = Source.TRANSITION
+    Reasons: "prefill", "bypass:long", "bypass:consensus", "tree", "fallback:no-source" and
+    "fallback:empty-tree". A bypass plan carries its chain and its source, a tree plan its tree.
+    """
 
-        # Bypass: a long or consensus-backed match is verified linearly.
-        if (
-            not config.disable_bypass
-            and draft
-            and (len(match.chain) >= config.bypass_threshold or match.consensus)
-        ):
-            _finish_walk(run, "bypass", linear_verify(model, draft, run.history, source=source))
-            continue
-
-        # Tree: any available draft source fills the node budget.
-        if tree_kind is not None and (match.chain or run.table.successors(prev, anchor, 1)):
-            if tree_kind == "iso":
-                tree = build_iso_tree(
-                    anchor, fanout, config.node_budget, match.chain, run.table, prev_token=prev
-                )
-            else:
-                ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
-                tree = build_spine_tree(
-                    anchor, draft, run.table, config.tree_budget(ratio),
-                    prev_token=prev,
-                    spine_source=source,
-                    spine_branches=not config.disable_spine_branches,
-                )
-            if len(tree) > 1:
-                _finish_walk(run, "tree", unified_greedy_walk(model, tree, run.history))
-                continue
-
-        _ar_step(run, "fallback", len(run.history) - 1)
-
-    return TokenSequence(tokens=tuple(run.out)), run.stats
+    reason: str
+    draft: Sequence[int] = ()
+    source: Source = Source.CONTEXT
+    tree: SpineTree | None = None
 
 
-# Every engine is the loop above under a route policy: config overrides, the
-# tree it builds ("spine", "iso" or None for no tree route) and the iso
-# fan-out.
+def _plan(run: _Run, config: EngineConfig, tree_kind: str | None, fanout: int) -> CyclePlan:
+    """Decide the next cycle's route from run state alone; never calls the model."""
+    if not run.stats.records:
+        return CyclePlan("prefill")
+    anchor, prev = run.history[-1], run.history[-2]
+    match = MatchResult() if run.index is None else run.index.match()
+    # The spine's draft is the matched chain or, under the source-swap
+    # control, a table walk of the same length.
+    draft, source = match.chain, Source.CONTEXT
+    if config.control_swap_sources and match.chain:
+        draft = run.table.chain(prev, anchor, len(match.chain))
+        source = Source.TRANSITION
+    # Bypass: a long or consensus-backed match is verified linearly.
+    if not config.disable_bypass and draft:
+        long = len(match.chain) >= config.bypass_threshold
+        if long or match.consensus:
+            return CyclePlan("bypass:long" if long else "bypass:consensus", draft, source)
+    # Checked before building, so a cycle with no source builds no tree.
+    if tree_kind is None or not (match.chain or run.table.successors(prev, anchor, 1)):
+        return CyclePlan("fallback:no-source")
+    if tree_kind == "iso":
+        tree = build_iso_tree(anchor, fanout, config.node_budget, match.chain, run.table, prev_token=prev)
+    else:
+        ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
+        tree = build_spine_tree(
+            anchor, draft, run.table, config.tree_budget(ratio),
+            prev_token=prev,
+            spine_source=source,
+            spine_branches=not config.disable_spine_branches,
+        )
+    return CyclePlan("tree", tree=tree) if len(tree) > 1 else CyclePlan("fallback:empty-tree")
+
+
+# Every engine is the loop in ``decode`` under a route policy: config
+# overrides, the tree it builds ("spine", "iso" or None for no tree route)
+# and the iso fan-out.
 _ENGINES: dict[str, tuple[dict[str, object], str | None, int]] = {
     "spine": ({}, "spine", 0),
     # N-gram match plus linear verification only: every match is bypassed.
@@ -396,10 +394,22 @@ def decode(
 ) -> tuple[TokenSequence, DecodeStats]:
     """Decode with one of the engines named in ``ENGINE_KINDS``.
 
-    Output equals ``ar_decode`` exactly for every engine.
+    Each cycle makes one ``_plan`` call and one model call: a tree plan is
+    walked, a bypass plan's chain is verified linearly, and a prefill or
+    fallback plan is one AR step. Output equals ``ar_decode`` exactly for
+    every engine.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
     overrides, tree_kind, fanout = _ENGINES[engine]
     config = replace(config or EngineConfig(), **overrides)
-    return _decode_loop(model, prompt, max_tokens, config, tree_kind, fanout)
+    run = _Run(model, prompt, max_tokens, config, tree_kind)
+    while not run.done:
+        plan = _plan(run, config, tree_kind, fanout)
+        if plan.tree is not None:
+            _finish_walk(run, plan.reason, unified_greedy_walk(model, plan.tree, run.history))
+        elif plan.draft:
+            _finish_walk(run, plan.reason, linear_verify(model, plan.draft, run.history, source=plan.source))
+        else:
+            _ar_step(run, plan.reason)
+    return TokenSequence(tokens=tuple(run.out)), run.stats

@@ -110,14 +110,6 @@ class SpineTree:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def dump(self) -> str:
-        """Indented debug text, one node per line: depth token source parent."""
-        lines = []
-        for i, n in enumerate(self.nodes):
-            parent = "-" if n.parent == ROOT else str(n.parent)
-            lines.append(f"{'  ' * n.depth}{n.depth} {n.token} {n.source.value} {parent}")
-        return "\n".join(lines)
-
 
 def tree_query(tree: SpineTree, base: Sequence[int]) -> ModelQuery:
     """Convert a tree to a scoring query; the root is the base's last token.

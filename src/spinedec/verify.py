@@ -38,10 +38,6 @@ class WalkResult:
     category: str
     response: ModelResponse    # the single scoring pass behind the walk
 
-    @property
-    def accepted_tokens(self) -> tuple[int, ...]:
-        return self.tokens[:-1]
-
 
 def _categorize(sources: Sequence[Source]) -> str:
     if not sources:

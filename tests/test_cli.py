@@ -322,6 +322,16 @@ def test_directory_path_exits_one_before_decoding(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/run"])
+def test_out_naming_a_file_exits_one_before_decoding(
+    corpus_file: Path, tmp_path: Path, out: str, capsys: pytest.CaptureFixture, no_decoding
+):
+    (tmp_path / "file").write_text("kept\n")
+    assert main(["decode", "--corpus", str(corpus_file), "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("flag", ["--iso-fanout", "--trials"])
 def test_bad_bound_counts_exit_before_decoding(
     corpus_file: Path, tmp_path: Path, flag: str, capsys: pytest.CaptureFixture, no_decoding

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import pytest
 
+import spinedec.engine as engine_module
 from conftest import ScriptedModel
 from spinedec.adjacency import AdjacencyTable
 from spinedec.context import ContextIndex
@@ -18,6 +20,7 @@ from spinedec.engine import (
 from spinedec.models import SyntheticModelSpec, ar_decode, build_synthetic
 
 SMALL = EngineConfig(node_budget=16)
+REASONS = ("prefill", "bypass:long", "bypass:consensus", "tree", "fallback:no-source", "fallback:empty-tree")
 
 
 def make_model(kind: str, seed: int = 7, vocab: int = 48, repetition: float = 0.8):
@@ -148,12 +151,17 @@ def test_empty_prompt_rejected():
         decode("spine", make_model("markov-order-2"), (), 4)
 
 
+def test_negative_max_tokens_rejected():
+    with pytest.raises(ValueError):
+        decode("spine", make_model("markov-order-2"), (1, 2), -1)
+
+
 def test_fallback_when_no_source_is_available():
     # The prompt's harvested keys never include the fresh anchor token, and a
     # 3-token history has no repeated n-grams, so cycle one must be an AR step.
     model = ScriptedModel(vocab_size=32, script={(1, 1): 9, (1, 1, 9): 9})
     out, stats = decode("spine", model, (1, 1), 3, SMALL)
-    assert stats.records[1].kind == "fallback"
+    assert stats.records[1].reason == "fallback:no-source"
     assert out.tokens == ar_decode(ScriptedModel(vocab_size=32, script=model.script), (1, 1), 3).tokens
 
 
@@ -169,6 +177,7 @@ def test_long_match_triggers_bypass():
     model = make_model("template-repeater", repetition=1.0, vocab=32)
     out, stats = decode("spine", model, (1, 2), 80)
     assert stats.cycle_counts.get("bypass", 0) > 0
+    assert any(r.reason == "bypass:long" for r in stats.records)
     assert out.tokens == ar_decode(make_model("template-repeater", repetition=1.0, vocab=32), (1, 2), 80).tokens
 
 
@@ -188,6 +197,48 @@ def test_consensus_triggers_bypass_below_length_threshold():
     bypass_records = [r for r in stats.records if r.kind == "bypass"]
     assert bypass_records
     assert all(r.offered_spine < 8 for r in bypass_records)
+    assert {r.reason for r in bypass_records} == {"bypass:consensus"}
+
+
+@pytest.mark.parametrize("engine", ["iso3", "transition", "spine"])
+def test_tree_with_no_node_past_the_root_falls_back(engine):
+    # A two-node budget leaves no room past the root once the table has a
+    # successor, so those cycles build an empty tree and take one AR step.
+    reference = ar_decode(make_model("template-repeater"), (2, 9, 4), 90).tokens
+    out, stats = decode(engine, make_model("template-repeater"), (2, 9, 4), 90, EngineConfig(node_budget=2))
+    assert out.tokens == reference
+    assert sum(r.reason == "fallback:empty-tree" for r in stats.records) > 0
+    assert stats.cycle_counts.get("tree", 0) == 0
+
+
+@pytest.mark.parametrize("engine", ["spine", "iso3", "context"])
+def test_plan_reads_run_state_and_never_calls_the_model(engine, monkeypatch):
+    # Every cycle, two extra plans on the live state must agree and leave the
+    # history, the records, the EMA and both draft sources as they were.
+    plan = engine_module._plan
+    seen = set()
+
+    def score_tree_must_not_run(_query):
+        raise AssertionError("_plan called the model")
+
+    def state(run):
+        sources = [vars(source) for source in (run.table, run.index) if source is not None]
+        return copy.deepcopy((run.history, run.out, run.stats.records, run.ema, sources))
+
+    def checked_plan(run, config, tree_kind, fanout):
+        before = state(run)
+        with monkeypatch.context() as patch:
+            patch.setattr(run.model, "score_tree", score_tree_must_not_run)
+            first = plan(run, config, tree_kind, fanout)
+            assert plan(run, config, tree_kind, fanout) == first
+        assert state(run) == before
+        seen.add(first.reason)
+        return first
+
+    monkeypatch.setattr(engine_module, "_plan", checked_plan)
+    out, stats = decode(engine, make_model("template-repeater"), (2, 9, 4), 90)
+    assert out.tokens == ar_decode(make_model("template-repeater"), (2, 9, 4), 90).tokens
+    assert seen == set(r.reason for r in stats.records) and len(seen) >= 3
 
 
 def test_stats_identity_tokens_split_into_accepted_plus_bonus():
@@ -313,6 +364,9 @@ def test_every_engine_is_lossless(engine, kind, rep):
     out, stats = decode(engine, make_model(kind, repetition=rep), (2, 9, 4), 90)
     assert out.tokens == reference
     assert stats.tau >= 1.0
+    for record in stats.records:
+        assert record.reason in REASONS
+        assert record.kind == record.reason.partition(":")[0]
 
 
 def test_single_call_per_cycle():

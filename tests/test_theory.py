@@ -322,7 +322,7 @@ def test_measure_heterogeneity_sentinels_and_errors():
         measure_heterogeneity(stats)
     stats.records.append(
         CycleRecord(
-            kind="tree", emitted=3, accepted_emitted=2, bonus_emitted=1,
+            reason="tree", emitted=3, accepted_emitted=2, bonus_emitted=1,
             category="pure_context",
             offered_context=2, offered_transition=5,
             accepted_context=2, accepted_transition=0,
@@ -340,7 +340,7 @@ def test_measure_heterogeneity_undefined_when_source_never_offered():
 
     stats = DecodeStats()
     stats.records.append(
-        CycleRecord(kind="fallback", emitted=1, accepted_emitted=0, bonus_emitted=1, category="empty")
+        CycleRecord(reason="fallback:no-source", emitted=1, accepted_emitted=0, bonus_emitted=1, category="empty")
     )
     het = measure_heterogeneity(stats)
     assert het.p_s is None and het.p_t is None and het.ratio is None

@@ -11,6 +11,7 @@ from spinedec.adjacency import AdjacencyTable
 from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import iso_yield, synergy
 from spinedec.tree import (
+    ROOT,
     Source,
     TreeBudget,
     build_iso_tree,
@@ -235,15 +236,13 @@ def test_dump_golden():
     table = AdjacencyTable()
     table.harvest([(0, 1, [(7, 0.5)]), (1, 4, [(9, 0.4)])])
     tree = build_spine_tree(1, (4, 5), table, TreeBudget(budget=6), prev_token=0)
-    assert tree.dump() == "\n".join(
-        [
-            "0 1 context -",
-            "  1 4 context 0",
-            "    2 5 context 1",
-            "  1 7 transition 0",
-            "    2 9 transition 1",
-        ]
-    )
+    assert [(n.depth, n.token, n.source.value, n.parent) for n in tree.nodes] == [
+        (0, 1, "context", ROOT),
+        (1, 4, "context", 0),
+        (2, 5, "context", 1),
+        (1, 7, "transition", 0),
+        (2, 9, "transition", 1),
+    ]
 
 
 # --- isotropic baseline ------------------------------------------------------

@@ -28,7 +28,7 @@ def test_linear_verify_accepts_whole_agreeing_chain():
     base = (4,)
     chain = (5, 6, 7)  # the unscripted model continues with +1 steps
     result = linear_verify(model, chain, base)
-    assert result.accepted_tokens == chain
+    assert result.tokens[:-1] == chain
     assert result.tokens[-1] == 8
     assert result.tokens == (5, 6, 7, 8)
     assert result.category == PathCategory.PURE_CONTEXT
@@ -38,7 +38,7 @@ def test_linear_verify_accepts_whole_agreeing_chain():
 def test_linear_verify_first_token_mismatch_still_progresses():
     model = ScriptedModel(vocab_size=32)
     result = linear_verify(model, (9,), (4,))
-    assert result.accepted_tokens == ()
+    assert result.tokens[:-1] == ()
     assert result.tokens[-1] == 5  # the correct continuation of 4
     assert result.category == PathCategory.EMPTY
     assert model.calls == 1
@@ -51,8 +51,8 @@ def test_linear_verify_mismatch_at_position_seven():
     script_path = base + chain[:6]
     model.script[script_path] = 50  # ...except after the 6th chain token
     result = linear_verify(model, chain, base)
-    assert len(result.accepted_tokens) == 6
-    assert result.accepted_tokens == chain[:6]
+    assert len(result.tokens[:-1]) == 6
+    assert result.tokens[:-1] == chain[:6]
     assert result.tokens[-1] == 50  # the prediction at position 6
     assert model.calls == 1
 
