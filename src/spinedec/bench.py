@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .engine import DecodeStats, EngineConfig, decode
-from .models import SyntheticModelSpec, ar_decode, build_synthetic, check_field_types, fields_from_json
+from .models import Spec, SyntheticModelSpec, ar_decode, build_synthetic
 from .theory import BoundSetting
 
 __all__ = [
@@ -59,7 +59,7 @@ class LosslessnessError(AssertionError):
 
 
 @dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(Spec):
     """A fully seed-determined benchmark corpus."""
 
     name: str
@@ -69,17 +69,9 @@ class CorpusSpec:
     max_tokens: int
 
     def __post_init__(self):
-        check_field_types(self)
+        super().__post_init__()
         if self.prompts < 1 or self.prompt_len < 1 or self.max_tokens < 0:
             raise ValueError("corpus counts must be positive")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CorpusSpec":
-        raw = fields_from_json(cls, text)
-        return cls(**{**raw, "model": SyntheticModelSpec.from_json(json.dumps(raw["model"]))})
 
 
 def prompts_for(spec: CorpusSpec) -> list[tuple[int, ...]]:
@@ -188,9 +180,9 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "header": {
-                "corpus": json.loads(self.corpus.to_json()),
+                "corpus": asdict(self.corpus),
                 "engine": self.engine,
-                "config": json.loads(self.config.to_json()),
+                "config": asdict(self.config),
                 "quartile_method": QUARTILE_METHOD,
             },
             "aggregate": {

@@ -2,9 +2,9 @@
 
 All outputs are deterministic functions of the arguments; CSV column orders
 are fixed. Bad input (a malformed argument, corpus, config or settings file,
-a path that names a directory or cannot be read, or an --out that names a
-file) exits 1 before any decoding; exit 2 means only that an engine's output
-diverged from the autoregressive reference.
+a path that names a directory or cannot be read, or an --out that cannot be
+written) exits 1 before any decoding; exit 2 means only that an engine's
+output diverged from the autoregressive reference.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bench import (
     setting_from_stats,
 )
 from .engine import ENGINE_KINDS, EngineConfig
-from .models import SyntheticModelSpec, fields_from_json
+from .models import SyntheticModelSpec
 from .theory import (
     AcceptanceModel,
     BoundSetting,
@@ -73,6 +73,22 @@ def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence]
             out.close()
 
 
+def _check_out(out: str | None, directory: bool) -> None:
+    """Fail before any work on an ``--out`` that cannot be written.
+
+    ``decode`` creates its directory and any missing parents, so only its
+    nearest existing ancestor must be a directory; a file's parent must be one.
+    """
+    if out is None:
+        return
+    path = Path(out)
+    holder = next(p for p in (path, *path.parents) if p.exists()) if directory else path.parent
+    if not directory and path.is_dir():
+        raise IsADirectoryError(f"--out {path} is a directory")
+    if not holder.is_dir():
+        raise NotADirectoryError(f"--out {path}: {holder} is not a directory")
+
+
 def _load_config(path: str | None) -> EngineConfig:
     if path is None:
         return EngineConfig()
@@ -103,9 +119,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     if toggles:
         config = replace(config, **toggles)
     out_dir = Path(args.out)
-    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
     report = run_corpus(spec, args.engine, config, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
@@ -222,7 +235,7 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
     raw = json.loads(Path(args.settings).read_text()) if args.settings else []
     if not isinstance(raw, list):
         raise ValueError(f"settings JSON must be a list of objects, got {raw!r}")
-    explicit = [BoundSetting(**fields_from_json(BoundSetting, json.dumps(entry))) for entry in raw]
+    explicit = [BoundSetting.from_dict(entry) for entry in raw]
     if not specs and not explicit:
         print("no settings: pass --corpus and/or --settings", file=sys.stderr)
         return 1
@@ -333,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(args.out, directory=args.func is _cmd_decode)
         return args.func(args)
     except LosslessnessError as err:
         print(f"LOSSLESSNESS VIOLATION: {err}", file=sys.stderr)

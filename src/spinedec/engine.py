@@ -22,14 +22,13 @@ target model predicted it at its exact position.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .adjacency import AdjacencyTable
 from .context import ContextIndex, MatchResult
-from .models import ModelQuery, TargetModel, TokenSequence, check_field_types, fields_from_json, is_kind
+from .models import ModelQuery, Spec, TargetModel, TokenSequence
 from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
 
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 @dataclass(frozen=True)
-class EngineConfig:
+class EngineConfig(Spec):
     """All decode hyperparameters; defaults are fixed across experiments."""
 
     ngram_lengths: tuple[int, ...] = (3, 4, 5)
@@ -74,17 +73,9 @@ class EngineConfig:
         Every tier's tree budget, the initial EMA, the context index and the
         adjacency table are built once here, so their own checks run first.
         """
-        check_field_types(self)
-        lengths, tiers = self.ngram_lengths, self.spine_ratio_tiers
-        if not isinstance(lengths, tuple) or not all(is_kind(n, "int") for n in lengths):
-            raise ValueError(f"ngram_lengths must be a tuple of ints, got {lengths!r}")
-        if not tiers or not isinstance(tiers, tuple) or not all(
-            isinstance(t, tuple) and len(t) == 2 and all(is_kind(x, "float") for x in t) for t in tiers
-        ):
-            raise ValueError(f"spine_ratio_tiers must be (bound, ratio) number pairs, got {tiers!r}")
-        object.__setattr__(self, "spine_ratio_tiers", tuple((float(b), float(r)) for b, r in tiers))
+        super().__post_init__()
         bounds = [b for b, _ratio in self.spine_ratio_tiers]
-        if bounds != sorted(set(bounds)) or not 0.0 <= bounds[0] <= bounds[-1] <= 1.0:
+        if not bounds or bounds != sorted(set(bounds)) or not 0.0 <= bounds[0] <= bounds[-1] <= 1.0:
             raise ValueError(f"spine_ratio_tiers bounds must ascend within [0, 1], got {bounds}")
         if self.bypass_threshold < 1:
             raise ValueError(f"bypass_threshold must be >= 1, got {self.bypass_threshold}")
@@ -114,13 +105,6 @@ class EngineConfig:
             min_score=self.min_score_threshold,
             use_bigram=not self.disable_bigram,
         )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EngineConfig":
-        return cls(**fields_from_json(cls, text))
 
 
 @dataclass(frozen=True)

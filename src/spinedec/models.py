@@ -1,4 +1,4 @@
-"""Deterministic target models, the autoregressive reference, and spec JSON checks.
+"""Deterministic target models, the autoregressive reference, and the JSON spec base.
 
 The verification oracle for everything in this package is a *target model*:
 a deterministic greedy next-token function that can score a whole draft tree
@@ -20,10 +20,12 @@ re-derive identically, so queries are side-effect free.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import NamedTuple, Protocol, Sequence
+from types import UnionType
+from typing import NamedTuple, Protocol, Sequence, TypeVar, Union, get_args, get_origin, get_type_hints
 
 __all__ = [
     "Prediction",
@@ -31,6 +33,7 @@ __all__ = [
     "ModelQuery",
     "ModelResponse",
     "TargetModel",
+    "Spec",
     "SyntheticModelSpec",
     "MarkovModel",
     "TemplateRepeaterModel",
@@ -116,52 +119,65 @@ class TargetModel(Protocol):
     def greedy_next(self, base: Sequence[int]) -> int: ...
 
 
-_KINDS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_field_hints = functools.cache(get_type_hints)
+_BAD = object()
+_S = TypeVar("_S", bound="Spec")
 
 
-def is_kind(value: object, kind: str) -> bool:
-    """Whether ``value`` is a JSON scalar of ``kind``; a bool is not a number."""
-    return isinstance(value, _KINDS[kind]) and (kind == "bool" or not isinstance(value, bool))
+def _conform(hint: object, value: object) -> object:
+    """``value`` as a field typed ``hint`` holds it, or ``_BAD`` if it is not one.
 
-
-def check_field_types(spec: object) -> None:
-    """Reject a dataclass whose int, float, bool or str fields hold another type.
-
-    A field typed ``<kind> | None`` may also hold None. An int is a valid float
-    and is stored as one, so a spec serialises alike.
+    An int given for a float becomes a float (a bool is not a number), a list
+    given for a ``tuple[...]`` a tuple, and a dict given for a ``Spec`` one.
     """
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        kind = f.type.removesuffix(" | None")
-        if kind in _KINDS and not (value is None and kind != f.type):
-            if not is_kind(value, kind):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-            if kind == "float":
-                object.__setattr__(spec, f.name, float(value))
-
-
-def fields_from_json(cls: type, text: str) -> dict:
-    """Parse a JSON object that names every required field of ``cls`` and no other.
-
-    JSON arrays, nested ones too, come back as tuples.
-    """
-    raw = json.loads(text)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{cls.__name__} JSON must be an object, got {raw!r}")
-    names = {f.name for f in fields(cls)}
-    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    wrong = {"unknown": sorted(set(raw) - names), "missing": sorted(required - set(raw))}
-    if any(wrong.values()):
-        raise ValueError(f"{cls.__name__} JSON: " + ", ".join(f"{k} keys {v}" for k, v in wrong.items() if v))
-    return {key: _tuples(value) for key, value in raw.items()}
-
-
-def _tuples(value: object) -> object:
-    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+    if hint in (int, float):
+        return hint(value) if isinstance(value, (int, hint)) and not isinstance(value, bool) else _BAD
+    origin = get_origin(hint)
+    if origin in (Union, UnionType):
+        return next((v for v in (_conform(h, value) for h in get_args(hint)) if v is not _BAD), _BAD)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = get_args(hint)[:1] * len(value) if get_args(hint)[-1:] == (...,) else get_args(hint)
+        out = tuple(map(_conform, items, value))
+        return out if len(items) == len(value) and _BAD not in out else _BAD
+    if isinstance(value, dict) and isinstance(hint, type) and issubclass(hint, Spec):
+        return hint.from_dict(value)
+    return value if isinstance(value, origin or hint) else _BAD
 
 
 @dataclass(frozen=True)
-class SyntheticModelSpec:
+class Spec:
+    """Base of every frozen dataclass read from JSON; subclasses add only range checks."""
+
+    def __post_init__(self):
+        hints = _field_hints(type(self))
+        for f in fields(self):
+            conformed = _conform(hints[f.name], getattr(self, f.name))
+            if conformed is _BAD:
+                raise ValueError(f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}")
+            object.__setattr__(self, f.name, conformed)
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls: type[_S], raw: object) -> _S:
+        """Build from a JSON object that names every required field and no other."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"{cls.__name__} JSON must be an object, got {raw!r}")
+        names = {f.name for f in fields(cls)}
+        required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+        wrong = {"unknown": sorted(set(raw) - names), "missing": sorted(required - set(raw))}
+        if any(wrong.values()):
+            raise ValueError(f"{cls.__name__} JSON: " + ", ".join(f"{k} keys {v}" for k, v in wrong.items() if v))
+        return cls(**raw)
+
+    @classmethod
+    def from_json(cls: type[_S], text: str) -> _S:
+        return cls.from_dict(json.loads(text))
+
+
+@dataclass(frozen=True)
+class SyntheticModelSpec(Spec):
     """Seeded description of a synthetic model; same spec, same behavior.
 
     Construction builds the model once, so its own checks reject a bad spec.
@@ -173,15 +189,10 @@ class SyntheticModelSpec:
     repetition: float = 0.0
 
     def __post_init__(self):
-        check_field_types(self)
+        super().__post_init__()
+        if not 0.0 <= self.repetition <= 1.0:
+            raise ValueError(f"repetition must be in [0, 1], got {self.repetition}")
         build_synthetic(self)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyntheticModelSpec":
-        return cls(**fields_from_json(cls, text))
 
 
 class _SyntheticModel:
@@ -307,8 +318,6 @@ class TemplateRepeaterModel(_SyntheticModel):
 
     def __init__(self, seed: int, vocab_size: int, repetition: float):
         super().__init__(seed, vocab_size)
-        if not (0.0 <= repetition <= 1.0):
-            raise ValueError(f"repetition must be in [0, 1], got {repetition}")
         self.repetition = repetition
         # Period longer than the 20-token draft-chain cap, so context matches
         # on repetitive runs reach full length and the spine-ratio tier caps

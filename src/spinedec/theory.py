@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .models import check_field_types
+from .models import Spec
 from .tree import ROOT, DraftNode, Source, SpineTree, iso_levels, linear_allocation
 
 __all__ = [
@@ -292,7 +292,7 @@ def dominance_scan(
 
 
 @dataclass(frozen=True)
-class BoundSetting:
+class BoundSetting(Spec):
     """One bound-verification setting: rates, shape, and a measured yield.
 
     ``tau_meas``/``stderr`` come from engine logs; leave them None to have
@@ -309,7 +309,7 @@ class BoundSetting:
     stderr: float | None = None
 
     def __post_init__(self):
-        check_field_types(self)
+        super().__post_init__()
         AcceptanceModel(p_s=self.p_s, p_t=self.p_t)
         finite = all(0 <= v < math.inf for v in (self.tau_meas, self.stderr) if v is not None)
         if self.m < 0 or self.budget < 1 or self.depth < 1 or not finite:

@@ -1,8 +1,11 @@
-"""Shared test helpers: a scriptable model and independent brute-force oracles."""
+"""Shared test helpers: a scriptable model, independent brute-force oracles, spec strategies."""
 
 from __future__ import annotations
 
-from spinedec.models import ModelQuery, ModelResponse, Prediction
+from hypothesis import strategies as st
+
+from spinedec.engine import EngineConfig
+from spinedec.models import ModelQuery, ModelResponse, Prediction, SyntheticModelSpec
 
 _SCRIPT_SCORES = (0.6, 0.2, 0.1, 0.05)
 
@@ -83,3 +86,41 @@ def brute_force_match(history, lengths=(3, 4, 5), max_chain=20):
     firsts = [c[0] for c in found.values()]
     consensus = any(firsts.count(f) >= 2 for f in set(firsts))
     return found[max(found)], consensus
+
+
+# --- valid specs, drawn field by field within each field's range -------------------
+
+unit_floats = st.floats(0.0, 1.0)
+_open_unit = st.floats(0.01, 0.99)
+
+model_specs = st.builds(
+    SyntheticModelSpec,
+    kind=st.sampled_from(("markov-order-2", "template-repeater")),
+    seed=st.integers(-(2**63), 2**64),
+    vocab=st.integers(2, 96),
+    repetition=unit_floats,
+)
+
+_tiers = st.lists(unit_floats, min_size=1, max_size=4, unique=True).flatmap(
+    lambda bounds: st.tuples(*(st.tuples(st.just(b), _open_unit) for b in sorted(bounds)))
+)
+
+engine_configs = st.builds(
+    EngineConfig,
+    ngram_lengths=st.lists(st.integers(1, 6), min_size=1, max_size=4).map(tuple),
+    max_spine_continuation=st.integers(1, 24),
+    transition_top_k=st.integers(1, 12),
+    node_budget=st.integers(1, 80),
+    max_tree_depth=st.integers(1, 8),
+    min_score_threshold=unit_floats,
+    spine_branch_ratio=_open_unit,
+    ema_smoothing=st.floats(0.01, 1.0),
+    ema_init=unit_floats,
+    spine_ratio_tiers=_tiers,
+    bypass_threshold=st.integers(1, 24),
+    disable_spine_branches=st.booleans(),
+    disable_bigram=st.booleans(),
+    disable_bypass=st.booleans(),
+    disable_spine=st.booleans(),
+    control_swap_sources=st.booleans(),
+)

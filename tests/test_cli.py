@@ -145,12 +145,13 @@ def test_missing_corpus_file_exits_nonzero(tmp_path: Path):
 
 @pytest.fixture
 def no_decoding(monkeypatch: pytest.MonkeyPatch) -> None:
-    """Fail the test if the CLI reaches ``run_corpus``: bad input must stop first."""
+    """Fail the test if the CLI reaches ``run_corpus`` or ``ablation_table``: bad input must stop first."""
 
-    def run_corpus_must_not_run(*_args, **_kwargs):
-        raise AssertionError("run_corpus was called on bad input")
+    def must_not_run(*_args, **_kwargs):
+        raise AssertionError("a corpus was decoded on bad input")
 
-    monkeypatch.setattr(cli, "run_corpus", run_corpus_must_not_run)
+    monkeypatch.setattr(cli, "run_corpus", must_not_run)
+    monkeypatch.setattr(cli, "ablation_table", must_not_run)
 
 
 @pytest.mark.parametrize(
@@ -250,6 +251,10 @@ def _edit(path: str, value=None):
         pytest.param(_edit("model.seed", [1]), id="model-seed-list"),
         pytest.param(_edit("model.kind", "gpt"), id="unknown-model-kind"),
         pytest.param(_edit("model.repetition", 1.5), id="repetition-above-one"),
+        pytest.param(
+            _edit("model", {"kind": "markov-order-2", "seed": 17, "vocab": 48, "repetition": 5.0}),
+            id="markov-repetition-above-one",
+        ),
     ],
 )
 def test_bad_corpus_exits_before_decoding(
@@ -330,6 +335,21 @@ def test_out_naming_a_file_exits_one_before_decoding(
     assert main(["decode", "--corpus", str(corpus_file), "--out", str(tmp_path / out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "command", [pytest.param(["ablate"], id="ablate"), pytest.param(["theory", "verify-bound"], id="verify-bound")]
+)
+@pytest.mark.parametrize("out", ["dir", "file/out.csv"])
+def test_unwritable_file_out_exits_one_before_decoding(
+    corpus_file: Path, tmp_path: Path, command: list[str], out: str, capsys: pytest.CaptureFixture, no_decoding
+):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("kept\n")
+    assert main([*command, "--corpus", str(corpus_file), "--out", str(tmp_path / out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --out ")
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "dir").iterdir())
 
 
 @pytest.mark.parametrize("flag", ["--iso-fanout", "--trials"])

@@ -4,9 +4,11 @@ import copy
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinedec.engine as engine_module
-from conftest import ScriptedModel
+from conftest import ScriptedModel, engine_configs, model_specs
 from spinedec.adjacency import AdjacencyTable
 from spinedec.context import ContextIndex
 from spinedec.engine import (
@@ -273,6 +275,17 @@ def test_eos_truncation_matches_reference():
     assert out.tokens[-1] == 15
 
 
+@pytest.mark.parametrize("engine", ENGINE_KINDS)
+def test_eos_ends_a_walk_accepted_past_it(engine):
+    # EOS inside a repeat of the prompt: a context draft offers EOS and the
+    # tokens after it, and the walk accepts two of them past EOS. No synthetic
+    # model ever predicts EOS, so only a scripted one reaches this cut.
+    prompt = (4, 5, 6, 15, 1, 2, 9, 3, 4, 5)
+    script = {prompt + (6,): 15}  # eos = 15
+    out, _stats = decode(engine, ScriptedModel(16, script), prompt, 20)
+    assert out.tokens == ar_decode(ScriptedModel(16, script), prompt, 20).tokens == (6, 15)
+
+
 def test_transition_baseline_equals_flagged_spine_engine():
     for kind in ("markov-order-2", "template-repeater"):
         model_a = make_model(kind)
@@ -367,6 +380,23 @@ def test_every_engine_is_lossless(engine, kind, rep):
     for record in stats.records:
         assert record.reason in REASONS
         assert record.kind == record.reason.partition(":")[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    config=engine_configs,
+    spec=model_specs,
+    engine=st.sampled_from(ENGINE_KINDS),
+    max_tokens=st.integers(0, 64),
+    data=st.data(),
+)
+def test_random_configs_models_and_prompts_decode_losslessly(config, spec, engine, max_tokens, data):
+    # Prompts may hold EOS anywhere: only an emitted EOS ends a run.
+    prompt = data.draw(st.lists(st.integers(0, spec.vocab - 1), min_size=1, max_size=24))
+    out, stats = decode(engine, build_synthetic(spec), prompt, max_tokens, config)
+    assert out == ar_decode(build_synthetic(spec), prompt, max_tokens)
+    assert stats.total_tokens == len(out)
+
 
 
 def test_single_call_per_cycle():

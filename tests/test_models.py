@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ScriptedModel
+from conftest import ScriptedModel, engine_configs, model_specs, unit_floats
+from spinedec.bench import CorpusSpec
 from spinedec.models import (
     MarkovModel,
     ModelQuery,
@@ -15,6 +16,7 @@ from spinedec.models import (
     ar_decode,
     build_synthetic,
 )
+from spinedec.theory import BoundSetting
 
 VOCAB = 32
 
@@ -158,6 +160,44 @@ def test_spec_json_round_trip():
     assert SyntheticModelSpec.from_json(spec.to_json()) == spec
     raw = spec.to_json()
     assert set(raw) and all(key in raw for key in ('"kind"', '"seed"', '"vocab"', '"repetition"'))
+
+
+@pytest.mark.parametrize("kind", ["markov-order-2", "template-repeater"])
+@pytest.mark.parametrize("repetition", [5.0, -1.0, float("nan")])
+def test_repetition_outside_unit_interval_is_rejected_for_every_kind(kind: str, repetition: float):
+    with pytest.raises(ValueError, match="repetition"):
+        SyntheticModelSpec(kind, 0, 8, repetition)
+
+
+corpus_specs = st.builds(
+    CorpusSpec,
+    name=st.text(max_size=12),
+    model=model_specs,
+    prompts=st.integers(1, 64),
+    prompt_len=st.integers(1, 64),
+    max_tokens=st.integers(0, 4096),
+)
+
+bound_settings = st.builds(
+    BoundSetting,
+    setting_id=st.text(max_size=12),
+    p_s=unit_floats,
+    p_t=unit_floats,
+    m=st.integers(0, 64),
+    budget=st.integers(1, 256),
+    depth=st.integers(1, 12),
+    tau_meas=st.none() | st.floats(0.0, 1e6),
+    stderr=st.none() | st.floats(0.0, 1e3),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec=st.one_of(model_specs, corpus_specs, engine_configs, bound_settings))
+def test_every_spec_round_trips_through_json(spec):
+    text = spec.to_json()
+    loaded = type(spec).from_json(text)
+    assert loaded == spec
+    assert loaded.to_json() == text
 
 
 def test_ar_decode_zero_tokens_is_empty():
