@@ -66,6 +66,6 @@ from .tree import (
     linear_allocation,
     tree_query,
 )
-from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
+from .verify import WalkResult, linear_verify, unified_greedy_walk
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .bench import (
     setting_from_stats,
 )
 from .engine import ENGINE_KINDS, EngineConfig
-from .models import SyntheticModelSpec
+from .models import SyntheticModelSpec, parse_json
 from .theory import (
     AcceptanceModel,
     BoundSetting,
@@ -232,7 +232,7 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
         raise ValueError(f"--iso-fanout and --trials must be >= 1, got {args.iso_fanout}, {args.trials}")
     config = _load_config(args.config)
     specs = [CorpusSpec.from_json(Path(path).read_text()) for path in args.corpus or []]
-    raw = json.loads(Path(args.settings).read_text()) if args.settings else []
+    raw = parse_json(Path(args.settings).read_text()) if args.settings else []
     if not isinstance(raw, list):
         raise ValueError(f"settings JSON must be a list of objects, got {raw!r}")
     explicit = [BoundSetting.from_dict(entry) for entry in raw]

@@ -6,9 +6,11 @@ long or consensus-backed context match is verified as a bare linear chain
 builds a spine tree verified by the unified greedy walk (``tree``); with no
 source, or no tree node past the root, the cycle degrades to one AR step
 (``fallback:no-source``, ``fallback:empty-tree``). The first call is
-``prefill``. Every scored position, including rejected branches, is harvested
-into the adjacency table, and an EMA of spine acceptance retunes the spine
-ratio each cycle. An engine keeps only the draft sources its route policy
+``prefill``, which scores the whole prompt. Prefill and fallback verify the
+empty draft, so every cycle is one verified walk recorded in one place. Every
+scored position, including rejected branches, is harvested into the adjacency
+table, and an EMA of spine acceptance retunes the spine ratio after each
+verified draft. An engine keeps only the draft sources its route policy
 reads: the table for a tree route, the context index unless the spine is off.
 
 The context, transition, iso3, iso5 and AR baselines run the same loop with
@@ -28,9 +30,9 @@ from typing import Sequence
 
 from .adjacency import AdjacencyTable
 from .context import ContextIndex, MatchResult
-from .models import ModelQuery, Spec, TargetModel, TokenSequence
+from .models import Spec, TargetModel, TokenSequence
 from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
-from .verify import PathCategory, WalkResult, linear_verify, unified_greedy_walk
+from .verify import WalkResult, linear_verify, unified_greedy_walk
 
 __all__ = [
     "EngineConfig",
@@ -148,8 +150,6 @@ class CycleRecord:
     reason: str
     emitted: int
     accepted_emitted: int
-    bonus_emitted: int
-    category: str
     offered_context: int = 0
     offered_transition: int = 0
     accepted_context: int = 0
@@ -160,6 +160,21 @@ class CycleRecord:
     @property
     def kind(self) -> str:  # "prefill" | "bypass" | "tree" | "fallback"
         return self.reason.partition(":")[0]
+
+    @property
+    def bonus_emitted(self) -> int:
+        return self.emitted - self.accepted_emitted
+
+    @property
+    def category(self) -> str:  # "empty" | "pure_context" | "spine_continuation" | "pure_transition"
+        """How the accepted path used the two draft sources.
+
+        In every tree the engine builds, the context nodes form a prefix of
+        any root path, so a path that accepted both sources continued the spine.
+        """
+        if not self.accepted_transition:
+            return "pure_context" if self.accepted_context else "empty"
+        return "spine_continuation" if self.accepted_context else "pure_transition"
 
 
 @dataclass
@@ -237,66 +252,41 @@ class _Run:
             bool(self.out) and self.out[-1] == self.model.eos_token
         )
 
-    def emit(self, reason: str, appended: Sequence[int], category: str,
-             accepted_count: int = 0, **counts: int) -> None:
-        """Append tokens subject to the length/EOS cut and record the cycle."""
-        allowed = self.max_tokens - len(self.out)
-        emit = list(appended[:allowed])
-        if self.model.eos_token in emit:
-            emit = emit[: emit.index(self.model.eos_token) + 1]
-        self.out.extend(emit)
-        self.history.extend(emit)
-        if self.index is not None:
-            self.index.extend(emit)
-        accepted_emitted = min(len(emit), accepted_count)
-        self.stats.records.append(
-            CycleRecord(
-                reason=reason,
-                emitted=len(emit),
-                accepted_emitted=accepted_emitted,
-                bonus_emitted=len(emit) - accepted_emitted,
-                category=category,
-                **counts,
-            )
-        )
-
-
-def _ar_step(run: _Run, reason: str) -> None:
-    """One plain model call: harvest every scored position into a kept table, emit the prediction."""
-    history = run.history
-    scored_from = 0 if reason == "prefill" else len(history) - 1  # prefill scores the whole prompt
-    response = run.model.score_tree(ModelQuery(base=tuple(history), scored_from=scored_from))
-    if run.table is not None:
-        run.table.harvest(
-            (history[i - 1] if i else None, history[i], prediction.top_k)
-            for i, prediction in enumerate(response.base, start=scored_from)
-        )
-    run.emit(reason, [response.base[-1].token], PathCategory.EMPTY)
-
 
 def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
-    """Harvest every scored node, emit the accepted path, and retune the EMA."""
-    tree, response = walk.tree, walk.response
+    """Harvest every scored position, emit the accepted path subject to the
+    length/EOS cut, record the cycle, and retune the EMA after a draft."""
+    tree, response, history = walk.tree, walk.response, run.history
     if run.table is not None:
-        items = [(run.history[-2], run.history[-1], response.base[-1].top_k)]
+        items = [
+            (history[i - 1] if i else None, history[i], prediction.top_k)
+            for i, prediction in enumerate(response.base, start=len(history) - len(response.base))
+        ]
         for node, prediction in zip(tree.nodes[1:], response.nodes):
             items.append((tree.nodes[node.parent].token, node.token, prediction.top_k))
         run.table.harvest(items)
-    offered = Counter(node.source for node in tree.nodes[1:])
-    accepted = Counter(tree.nodes[i].source for i in walk.accepted)
+    emit = list(walk.tokens[: run.max_tokens - len(run.out)])
+    if run.model.eos_token in emit:
+        emit = emit[: emit.index(run.model.eos_token) + 1]
+    run.out.extend(emit)
+    history.extend(emit)
+    if run.index is not None:
+        run.index.extend(emit)
+    offered = [node.source for node in tree.nodes[1:]]
+    accepted = [tree.nodes[i].source for i in walk.accepted]
     spine = set(tree.spine[1:])
-    accepted_spine = sum(1 for i in walk.accepted if i in spine)
-    run.emit(
-        reason, walk.tokens, walk.category,
-        accepted_count=len(walk.accepted),
-        offered_context=offered[Source.CONTEXT],
-        offered_transition=offered[Source.TRANSITION],
-        accepted_context=accepted[Source.CONTEXT],
-        accepted_transition=accepted[Source.TRANSITION],
+    accepted_spine = len(spine.intersection(walk.accepted))
+    run.stats.records.append(CycleRecord(
+        reason, len(emit), min(len(emit), len(accepted)),
+        offered_context=offered.count(Source.CONTEXT),
+        offered_transition=offered.count(Source.TRANSITION),
+        accepted_context=accepted.count(Source.CONTEXT),
+        accepted_transition=accepted.count(Source.TRANSITION),
         offered_spine=len(spine),
         accepted_spine=accepted_spine,
-    )
-    run.ema = update_ema(run.ema, accepted_spine / len(spine) if spine else 0.0)
+    ))
+    if len(tree) > 1:
+        run.ema = update_ema(run.ema, accepted_spine / len(spine) if spine else 0.0)
 
 
 @dataclass(frozen=True)
@@ -379,8 +369,8 @@ def decode(
     """Decode with one of the engines named in ``ENGINE_KINDS``.
 
     Each cycle makes one ``_plan`` call and one model call: a tree plan is
-    walked, a bypass plan's chain is verified linearly, and a prefill or
-    fallback plan is one AR step. Output equals ``ar_decode`` exactly for
+    walked, and any other plan's draft is verified linearly, the empty draft
+    of a prefill or fallback plan too. Output equals ``ar_decode`` exactly for
     every engine.
     """
     if engine not in _ENGINES:
@@ -390,10 +380,10 @@ def decode(
     run = _Run(model, prompt, max_tokens, config, tree_kind)
     while not run.done:
         plan = _plan(run, config, tree_kind, fanout)
+        scored_from = len(run.history) - 1 if run.stats.records else 0  # prefill scores the prompt
         if plan.tree is not None:
-            _finish_walk(run, plan.reason, unified_greedy_walk(model, plan.tree, run.history))
-        elif plan.draft:
-            _finish_walk(run, plan.reason, linear_verify(model, plan.draft, run.history, source=plan.source))
+            walk = unified_greedy_walk(model, plan.tree, run.history, scored_from)
         else:
-            _ar_step(run, plan.reason)
+            walk = linear_verify(model, plan.draft, run.history, source=plan.source, scored_from=scored_from)
+        _finish_walk(run, plan.reason, walk)
     return TokenSequence(tokens=tuple(run.out)), run.stats

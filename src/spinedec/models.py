@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import random
+from contextlib import suppress
 from dataclasses import MISSING, asdict, dataclass, fields
 from types import UnionType
 from typing import NamedTuple, Protocol, Sequence, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -34,6 +35,7 @@ __all__ = [
     "ModelResponse",
     "TargetModel",
     "Spec",
+    "parse_json",
     "SyntheticModelSpec",
     "MarkovModel",
     "TemplateRepeaterModel",
@@ -127,11 +129,15 @@ _S = TypeVar("_S", bound="Spec")
 def _conform(hint: object, value: object) -> object:
     """``value`` as a field typed ``hint`` holds it, or ``_BAD`` if it is not one.
 
-    An int given for a float becomes a float (a bool is not a number), a list
-    given for a ``tuple[...]`` a tuple, and a dict given for a ``Spec`` one.
+    An int given for a float becomes a float unless it is too large for one
+    (a bool is not a number), a list given for a ``tuple[...]`` a tuple, and a
+    dict given for a ``Spec`` one.
     """
     if hint in (int, float):
-        return hint(value) if isinstance(value, (int, hint)) and not isinstance(value, bool) else _BAD
+        if isinstance(value, (int, hint)) and not isinstance(value, bool):
+            with suppress(OverflowError):
+                return hint(value)
+        return _BAD
     origin = get_origin(hint)
     if origin in (Union, UnionType):
         return next((v for v in (_conform(h, value) for h in get_args(hint)) if v is not _BAD), _BAD)
@@ -173,7 +179,15 @@ class Spec:
 
     @classmethod
     def from_json(cls: type[_S], text: str) -> _S:
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(parse_json(text))
+
+
+def parse_json(text: str) -> object:
+    """``json.loads``, except that input nested too deep to parse is a ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to parse") from None
 
 
 @dataclass(frozen=True)

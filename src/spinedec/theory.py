@@ -144,13 +144,13 @@ def spine_shape_tree(shape: TreeShape) -> SpineTree:
     branching point. This is the structure on which the bound is tight. Every
     token is 0: the simulation reads only parents and sources.
     """
-    nodes = [DraftNode(0, Source.CONTEXT, ROOT, 0)]
-    nodes += [DraftNode(0, Source.CONTEXT, i, i + 1) for i in range(shape.m)]
+    nodes = [DraftNode(0, Source.CONTEXT, ROOT)]
+    nodes += [DraftNode(0, Source.CONTEXT, i) for i in range(shape.m)]
     for branch_point, width in enumerate(shape.widths):  # spine node i is node i
         for _ in range(width):
             parent = branch_point
-            for depth in range(branch_point + 1, branch_point + shape.depth + 1):
-                nodes.append(DraftNode(0, Source.TRANSITION, parent, depth))
+            for _ in range(shape.depth):
+                nodes.append(DraftNode(0, Source.TRANSITION, parent))
                 parent = len(nodes) - 1
     return SpineTree(nodes=nodes, spine=list(range(shape.m + 1)))
 

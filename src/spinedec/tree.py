@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .adjacency import AdjacencyTable, confidence_width
 from .models import ModelQuery
@@ -43,12 +43,10 @@ class Source(enum.Enum):
     TRANSITION = "transition"  # retrieved from the adjacency table
 
 
-@dataclass(frozen=True)
-class DraftNode:
+class DraftNode(NamedTuple):
     token: int
     source: Source
     parent: int  # index of parent node; ROOT's parent is -1
-    depth: int   # root is 0
 
 
 @dataclass(frozen=True)
@@ -111,21 +109,23 @@ class SpineTree:
         return len(self.nodes)
 
 
-def tree_query(tree: SpineTree, base: Sequence[int]) -> ModelQuery:
+def tree_query(tree: SpineTree, base: Sequence[int], scored_from: int | None = None) -> ModelQuery:
     """Convert a tree to a scoring query; the root is the base's last token.
 
     Query node ``i - 1`` is tree node ``i``, so a parent index shifts by one
-    and the root's children get ``-1``, the last base token.
+    and the root's children get ``-1``, the last base token. Base positions
+    are scored from ``scored_from``, by default the root's alone.
     """
     if not base or base[-1] != tree.nodes[0].token:
         raise ValueError("tree root must equal the last base token")
     nodes = tuple((n.token, n.parent - 1) for n in tree.nodes[1:])
-    return ModelQuery(base=tuple(base), nodes=nodes, scored_from=len(base) - 1)
+    start = len(base) - 1 if scored_from is None else scored_from
+    return ModelQuery(base=tuple(base), nodes=nodes, scored_from=start)
 
 
 class _Builder:
     def __init__(self, anchor: int, budget: int, prev_token: int | None):
-        self.nodes: list[DraftNode] = [DraftNode(anchor, Source.CONTEXT, ROOT, 0)]
+        self.nodes: list[DraftNode] = [DraftNode(anchor, Source.CONTEXT, ROOT)]
         self.child_tokens: list[set[int]] = [set()]
         self.budget = budget
         self.prev_token = prev_token
@@ -134,7 +134,7 @@ class _Builder:
         """Add a child unless over budget or duplicating a sibling token."""
         if len(self.nodes) >= self.budget or token in self.child_tokens[parent]:
             return None
-        self.nodes.append(DraftNode(token, source, parent, self.nodes[parent].depth + 1))
+        self.nodes.append(DraftNode(token, source, parent))
         self.child_tokens.append(set())
         self.child_tokens[parent].add(token)
         return len(self.nodes) - 1

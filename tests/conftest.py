@@ -63,6 +63,14 @@ class ScriptedModel:
         return self._next(tuple(base))
 
 
+def depths(tree) -> list[int]:
+    """Each tree node's depth, the root's 0, from parent pointers alone."""
+    out = [0]
+    for node in tree.nodes[1:]:
+        out.append(out[node.parent] + 1)
+    return out
+
+
 def brute_force_match(history, lengths=(3, 4, 5), max_chain=20):
     """Independent linear-scan reimplementation of the context-match contract.
 

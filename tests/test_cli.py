@@ -173,6 +173,8 @@ def no_decoding(monkeypatch: pytest.MonkeyPatch) -> None:
         '{"spine_ratio_tiers": [[0.2, 0.15], [1.5, 0.5]]}',
         '{"node_count": 3}',
         '[60]',
+        pytest.param('{"ema_init": 1' + "0" * 400 + "}", id="ema_init-overflow"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_bad_config_exits_before_decoding(
@@ -296,13 +298,15 @@ def _setting(**edits) -> list[dict]:
         pytest.param(_setting(tau_meas="2.0"), id="tau_meas-string"),
         pytest.param(_setting(tau_meas=True), id="tau_meas-bool"),
         pytest.param(_setting(stderr=-0.1), id="stderr-negative"),
+        pytest.param(_setting(tau_meas=10**400), id="tau_meas-overflow"),
+        pytest.param("[" * 100_000 + "]" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_bad_bound_settings_exit_before_decoding(
     corpus_file: Path, tmp_path: Path, settings, capsys: pytest.CaptureFixture, no_decoding
 ):
     path = tmp_path / "settings.json"
-    path.write_text(json.dumps(settings))
+    path.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     out = tmp_path / "bound.csv"
     args = ["theory", "verify-bound", "--corpus", str(corpus_file), "--settings", str(path)]
     assert main(args + ["--out", str(out)]) == 1

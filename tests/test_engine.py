@@ -51,6 +51,21 @@ def test_ema_falls_to_the_bottom_tier_by_cycle_two():
     assert spine_ratio_tier(state.value, EngineConfig().spine_ratio_tiers) == 0.15
 
 
+def test_only_a_verified_draft_retunes_the_ema(monkeypatch):
+    # Prefill and fallback verify the empty draft and leave the EMA alone.
+    calls = []
+
+    def counted(state, observation):
+        calls.append(observation)
+        return update_ema(state, observation)
+
+    monkeypatch.setattr(engine_module, "update_ema", counted)
+    _out, stats = decode("spine", make_model("template-repeater"), (2, 9, 4), 90)
+    kinds = [r.kind for r in stats.records]
+    assert set(kinds) == {"prefill", "bypass", "tree", "fallback"}
+    assert len(calls) == kinds.count("bypass") + kinds.count("tree")
+
+
 def test_ema_fixed_point():
     state = EmaState(value=0.42, alpha=0.3)
     assert update_ema(state, 0.42).value == pytest.approx(0.42)

@@ -161,8 +161,8 @@ def test_monte_carlo_validates_inputs():
 
 @pytest.mark.parametrize("parent", [1, 2, ROOT], ids=["self", "forward", "second-root"])
 def test_simulated_tree_rejects_a_parent_that_does_not_precede_its_node(parent):
-    root = DraftNode(0, Source.CONTEXT, ROOT, 0)
-    nodes = [root, DraftNode(0, Source.CONTEXT, parent, 1), DraftNode(0, Source.CONTEXT, 0, 1)]
+    root = DraftNode(0, Source.CONTEXT, ROOT)
+    nodes = [root, DraftNode(0, Source.CONTEXT, parent), DraftNode(0, Source.CONTEXT, 0)]
     with pytest.raises(ValueError, match="node 1 has invalid parent"):
         SpineTree(nodes=nodes, spine=[0])
 
@@ -322,8 +322,7 @@ def test_measure_heterogeneity_sentinels_and_errors():
         measure_heterogeneity(stats)
     stats.records.append(
         CycleRecord(
-            reason="tree", emitted=3, accepted_emitted=2, bonus_emitted=1,
-            category="pure_context",
+            reason="tree", emitted=3, accepted_emitted=2,
             offered_context=2, offered_transition=5,
             accepted_context=2, accepted_transition=0,
             offered_spine=2, accepted_spine=2,
@@ -340,7 +339,7 @@ def test_measure_heterogeneity_undefined_when_source_never_offered():
 
     stats = DecodeStats()
     stats.records.append(
-        CycleRecord(reason="fallback:no-source", emitted=1, accepted_emitted=0, bonus_emitted=1, category="empty")
+        CycleRecord(reason="fallback:no-source", emitted=1, accepted_emitted=0)
     )
     het = measure_heterogeneity(stats)
     assert het.p_s is None and het.p_t is None and het.ratio is None

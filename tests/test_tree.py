@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import depths
 from spinedec.adjacency import AdjacencyTable
 from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import iso_yield, synergy
@@ -72,10 +74,7 @@ def test_harmonic_allocation_three_one_one():
     tree = build_spine_tree(0, chain, table, budget, prev_token=None, spine_branches=True)
     per_spine_branches = []
     for node_index in tree.spine[1:]:
-        kids = [
-            i for i in tree.children[node_index]
-            if tree.nodes[i].source is Source.TRANSITION and tree.nodes[i].depth == tree.nodes[node_index].depth + 1
-        ]
+        kids = [i for i in tree.children[node_index] if tree.nodes[i].source is Source.TRANSITION]
         per_spine_branches.append(len(kids))
     assert per_spine_branches == [3, 1, 1]
     assert per_spine_branches == sorted(per_spine_branches, reverse=True)
@@ -209,9 +208,6 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
             path.append(tree.nodes[node].token)
             node = tree.nodes[node].parent
         assert response.nodes[i - 1].token == model.greedy_next(base + tuple(reversed(path)))
-    # Depth bookkeeping is consistent.
-    for i in range(1, len(tree)):
-        assert tree.nodes[i].depth == tree.nodes[tree.nodes[i].parent].depth + 1
 
 
 def test_tree_query_remaps_ancestors_and_sets_scored_from():
@@ -236,7 +232,7 @@ def test_dump_golden():
     table = AdjacencyTable()
     table.harvest([(0, 1, [(7, 0.5)]), (1, 4, [(9, 0.4)])])
     tree = build_spine_tree(1, (4, 5), table, TreeBudget(budget=6), prev_token=0)
-    assert [(n.depth, n.token, n.source.value, n.parent) for n in tree.nodes] == [
+    assert [(d, n.token, n.source.value, n.parent) for d, n in zip(depths(tree), tree.nodes)] == [
         (0, 1, "context", ROOT),
         (1, 4, "context", 0),
         (2, 5, "context", 1),
@@ -251,15 +247,9 @@ def test_dump_golden():
 def test_iso_tree_fills_complete_levels_only():
     table = saturated_table()
     tree = build_iso_tree(0, 3, 60, (), table, prev_token=1)
-    by_depth: dict[int, int] = {}
-    for node in tree.nodes[1:]:
-        by_depth[node.depth] = by_depth.get(node.depth, 0) + 1
-    assert by_depth == {1: 3, 2: 9, 3: 27}  # 39 nodes; 21 budget unused
+    assert Counter(depths(tree)[1:]) == {1: 3, 2: 9, 3: 27}  # 39 nodes; 21 budget unused
     tree5 = build_iso_tree(0, 5, 60, (), table, prev_token=1)
-    by_depth5: dict[int, int] = {}
-    for node in tree5.nodes[1:]:
-        by_depth5[node.depth] = by_depth5.get(node.depth, 0) + 1
-    assert by_depth5 == {1: 5, 2: 25}
+    assert Counter(depths(tree5)[1:]) == {1: 5, 2: 25}
 
 
 def test_iso_tree_places_chain_tokens_first():
@@ -288,7 +278,7 @@ def test_iso_tree_and_iso_yield_share_one_level_count(fanout, budget):
     assert total + fanout ** (levels + 1) > budget
     tree = build_iso_tree(0, fanout, budget, (), saturated_table(), prev_token=1)
     assert len(tree) - 1 == total
-    assert max(node.depth for node in tree.nodes) == levels
+    assert max(depths(tree)) == levels
     assert iso_yield(fanout, budget, 1.0) == levels + 1  # p_t = 1 accepts every level
 
 

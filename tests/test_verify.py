@@ -5,15 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedModel
+from spinedec.engine import CycleRecord
 from spinedec.tree import ROOT, DraftNode, Source, SpineTree
-from spinedec.verify import PathCategory, linear_verify, unified_greedy_walk
+from spinedec.verify import linear_verify, unified_greedy_walk
 
 
 def manual_tree(anchor: int, spec: list[tuple[int, Source, int]]) -> SpineTree:
     """Build a tree directly from (token, source, parent) rows; root index 0."""
-    nodes = [DraftNode(anchor, Source.CONTEXT, ROOT, 0)]
-    for token, source, parent in spec:
-        nodes.append(DraftNode(token, source, parent, nodes[parent].depth + 1))
+    nodes = [DraftNode(anchor, Source.CONTEXT, ROOT)]
+    nodes += [DraftNode(token, source, parent) for token, source, parent in spec]
     spine = [0] + [
         i for i, n in enumerate(nodes) if i > 0 and n.source is Source.CONTEXT
     ]
@@ -31,7 +31,6 @@ def test_linear_verify_accepts_whole_agreeing_chain():
     assert result.tokens[:-1] == chain
     assert result.tokens[-1] == 8
     assert result.tokens == (5, 6, 7, 8)
-    assert result.category == PathCategory.PURE_CONTEXT
     assert model.calls == 1
 
 
@@ -40,7 +39,6 @@ def test_linear_verify_first_token_mismatch_still_progresses():
     result = linear_verify(model, (9,), (4,))
     assert result.tokens[:-1] == ()
     assert result.tokens[-1] == 5  # the correct continuation of 4
-    assert result.category == PathCategory.EMPTY
     assert model.calls == 1
 
 
@@ -57,9 +55,44 @@ def test_linear_verify_mismatch_at_position_seven():
     assert model.calls == 1
 
 
-def test_linear_verify_rejects_empty_chain():
+def test_linear_verify_empty_chain_is_one_ar_step():
+    model = ScriptedModel(vocab_size=32, script={(3, 9, 4): 20, (3,): 30})
+    base = (3, 9, 4)
+    result = linear_verify(model, (), base)
+    assert model.calls == 1
+    assert result.accepted == ()
+    assert result.tokens == (model.greedy_next(base),) == (20,)
+    assert len(result.response.base) == 1
+    # Scored from 0, as the first call of a run is: one prediction per position.
+    whole = linear_verify(model, (), base, scored_from=0)
+    assert [p.token for p in whole.response.base] == [model.greedy_next(base[: i + 1]) for i in range(3)]
+    assert whole.tokens == result.tokens
+
+
+def test_linear_verify_rejects_empty_base():
     with pytest.raises(ValueError):
-        linear_verify(ScriptedModel(), (), (4,))
+        linear_verify(ScriptedModel(), (4,), ())
+
+
+# --- path categories -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "accepted_context,accepted_transition,category",
+    [
+        (0, 0, "empty"),
+        (2, 0, "pure_context"),
+        (1, 2, "spine_continuation"),
+        (0, 1, "pure_transition"),
+    ],
+)
+def test_cycle_record_category_follows_from_accepted_counts(accepted_context, accepted_transition, category):
+    record = CycleRecord(
+        "tree", emitted=3, accepted_emitted=2,
+        accepted_context=accepted_context, accepted_transition=accepted_transition,
+    )
+    assert record.category == category
+    assert record.bonus_emitted == 1
 
 
 # --- unified greedy walk --------------------------------------------------------
@@ -72,7 +105,6 @@ def test_walk_no_child_matches_yields_bonus_only():
     result = unified_greedy_walk(model, tree, (4,))
     assert result.accepted == ()
     assert result.tokens[-1] == 5
-    assert result.category == PathCategory.EMPTY
     assert model.calls == 1
 
 
@@ -81,7 +113,7 @@ def test_walk_pure_spine_acceptance():
     tree = manual_tree(4, [(5, Source.CONTEXT, 0), (6, Source.CONTEXT, 1)])
     result = unified_greedy_walk(model, tree, (4,))
     assert result.tokens == (5, 6, 7)
-    assert result.category == PathCategory.PURE_CONTEXT
+    assert [tree.nodes[i].source for i in result.accepted] == [Source.CONTEXT] * 2
 
 
 def test_walk_spine_continuation_recovers_at_the_break():
@@ -99,7 +131,7 @@ def test_walk_spine_continuation_recovers_at_the_break():
     )
     result = unified_greedy_walk(model, tree, (4,))
     assert result.tokens == (5, 20, 21, 22)
-    assert result.category == PathCategory.SPINE_CONTINUATION
+    assert [tree.nodes[i].source for i in result.accepted] == [Source.CONTEXT] + [Source.TRANSITION] * 2
     assert model.calls == 1
 
 
@@ -108,7 +140,7 @@ def test_walk_pure_transition_path():
     tree = manual_tree(4, [(9, Source.CONTEXT, 0), (5, Source.TRANSITION, 0)])
     result = unified_greedy_walk(model, tree, (4,))
     assert result.tokens == (5, 6)
-    assert result.category == PathCategory.PURE_TRANSITION
+    assert [tree.nodes[i].source for i in result.accepted] == [Source.TRANSITION]
 
 
 def test_walk_prefers_context_child_on_adversarial_tie():
