@@ -23,7 +23,6 @@ from .bench import (
 from .context import ContextIndex, MatchResult
 from .engine import (
     DecodeStats,
-    EmaState,
     EngineConfig,
     decode,
     spine_ratio_tier,

@@ -9,9 +9,11 @@ source, or no tree node past the root, the cycle degrades to one AR step
 ``prefill``, which scores the whole prompt. Prefill and fallback verify the
 empty draft, so every cycle is one verified walk recorded in one place. Every
 scored position, including rejected branches, is harvested into the adjacency
-table, and an EMA of spine acceptance retunes the spine ratio after each
-verified draft. An engine keeps only the draft sources its route policy
-reads: the table for a tree route, the context index unless the spine is off.
+table, and an EMA of spine acceptance, one float per run, retunes the spine
+ratio after each verified draft: ``_plan`` maps it to a tier ratio and looks
+up that tier's tree budget, built once with the config. An engine keeps only
+the draft sources its route policy reads: the table for a tree route, the
+context index unless the spine is off.
 
 The context, transition, iso3, iso5 and AR baselines run the same loop with
 config overrides and another tree kind, one named row each in ``_ENGINES``;
@@ -36,7 +38,6 @@ from .verify import WalkResult, linear_verify, unified_greedy_walk
 
 __all__ = [
     "EngineConfig",
-    "EmaState",
     "update_ema",
     "spine_ratio_tier",
     "CycleRecord",
@@ -47,7 +48,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EngineConfig(Spec):
-    """All decode hyperparameters; defaults are fixed across experiments."""
+    """All decode hyperparameters; defaults are fixed across experiments.
+
+    ``tree_budgets`` maps each tier's spine ratio to its ``TreeBudget``.
+    """
 
     ngram_lengths: tuple[int, ...] = (3, 4, 5)
     max_spine_continuation: int = 20
@@ -72,8 +76,10 @@ class EngineConfig(Spec):
     def __post_init__(self):
         """Reject values that would fail mid-decode or decode silently.
 
-        Every tier's tree budget, the initial EMA, the context index and the
-        adjacency table are built once here, so their own checks run first.
+        The EMA's start and smoothing are range-checked here. Every tier's tree
+        budget is built once and kept in ``tree_budgets``, and a context index
+        and an adjacency table are built and dropped, so their own checks run
+        first.
         """
         super().__post_init__()
         bounds = [b for b, _ratio in self.spine_ratio_tiers]
@@ -81,22 +87,22 @@ class EngineConfig(Spec):
             raise ValueError(f"spine_ratio_tiers bounds must ascend within [0, 1], got {bounds}")
         if self.bypass_threshold < 1:
             raise ValueError(f"bypass_threshold must be >= 1, got {self.bypass_threshold}")
-        for _bound, ratio in self.spine_ratio_tiers:
-            self.tree_budget(ratio)
-        self.ema_state()
+        if not 0.0 <= self.ema_init <= 1.0:
+            raise ValueError("EMA value must stay in [0, 1]")
+        if not 0.0 < self.ema_smoothing <= 1.0:
+            raise ValueError("EMA smoothing must lie in (0, 1]")
+        budgets = {
+            ratio: TreeBudget(
+                budget=self.node_budget,
+                spine_ratio=ratio,
+                spine_branch_ratio=self.spine_branch_ratio,
+                max_depth=self.max_tree_depth,
+            )
+            for _bound, ratio in self.spine_ratio_tiers
+        }
+        object.__setattr__(self, "tree_budgets", budgets)  # not a field: no JSON key, no eq
         self.context_index(())
         self.adjacency_table()
-
-    def tree_budget(self, spine_ratio: float) -> TreeBudget:
-        return TreeBudget(
-            budget=self.node_budget,
-            spine_ratio=spine_ratio,
-            spine_branch_ratio=self.spine_branch_ratio,
-            max_depth=self.max_tree_depth,
-        )
-
-    def ema_state(self) -> EmaState:
-        return EmaState(value=self.ema_init, alpha=self.ema_smoothing)
 
     def context_index(self, tokens: Sequence[int]) -> ContextIndex:
         return ContextIndex(tokens, lengths=self.ngram_lengths, max_chain=self.max_spine_continuation)
@@ -109,25 +115,11 @@ class EngineConfig(Spec):
         )
 
 
-@dataclass(frozen=True)
-class EmaState:
-    """Running estimate of spine acceptance, smoothed exponentially."""
-
-    value: float = 0.3
-    alpha: float = 0.3
-
-    def __post_init__(self):
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("EMA value must stay in [0, 1]")
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("EMA smoothing must lie in (0, 1]")
-
-
-def update_ema(state: EmaState, observation: float) -> EmaState:
-    """One smoothing step toward the cycle's observed spine acceptance."""
+def update_ema(value: float, alpha: float, observation: float) -> float:
+    """One smoothing step, of weight ``alpha``, toward the cycle's observed spine acceptance."""
     if not (0.0 <= observation <= 1.0):
         raise ValueError(f"observation {observation} outside [0, 1]")
-    return replace(state, value=(1.0 - state.alpha) * state.value + state.alpha * observation)
+    return (1.0 - alpha) * value + alpha * observation
 
 
 def spine_ratio_tier(estimate: float, tiers: Sequence[tuple[float, float]]) -> float:
@@ -229,7 +221,7 @@ class DecodeStats:
 
 
 class _Run:
-    """Mutable state for one decode run."""
+    """Mutable state for one decode run; ``_finish_walk`` sets ``done``."""
 
     def __init__(self, model: TargetModel, prompt: Sequence[int], max_tokens: int,
                  config: EngineConfig, tree_kind: str | None):
@@ -244,18 +236,14 @@ class _Run:
         self.table = config.adjacency_table() if tree_kind is not None else None
         self.index = None if config.disable_spine else config.context_index(prompt)
         self.stats = DecodeStats()
-        self.ema = config.ema_state()
-
-    @property
-    def done(self) -> bool:
-        return len(self.out) >= self.max_tokens or (
-            bool(self.out) and self.out[-1] == self.model.eos_token
-        )
+        self.ema, self.ema_alpha = config.ema_init, config.ema_smoothing
+        self.done = max_tokens == 0
 
 
 def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
     """Harvest every scored position, emit the accepted path subject to the
-    length/EOS cut, record the cycle, and retune the EMA after a draft."""
+    length/EOS cut (the run's one stop rule), record the cycle, and retune the
+    EMA after a draft."""
     tree, response, history = walk.tree, walk.response, run.history
     if run.table is not None:
         items = [
@@ -265,10 +253,12 @@ def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
         for node, prediction in zip(tree.nodes[1:], response.nodes):
             items.append((tree.nodes[node.parent].token, node.token, prediction.top_k))
         run.table.harvest(items)
+    eos = run.model.eos_token
     emit = list(walk.tokens[: run.max_tokens - len(run.out)])
-    if run.model.eos_token in emit:
-        emit = emit[: emit.index(run.model.eos_token) + 1]
+    if eos in emit:
+        emit = emit[: emit.index(eos) + 1]
     run.out.extend(emit)
+    run.done = len(run.out) == run.max_tokens or eos in emit
     history.extend(emit)
     if run.index is not None:
         run.index.extend(emit)
@@ -286,7 +276,7 @@ def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
         accepted_spine=accepted_spine,
     ))
     if len(tree) > 1:
-        run.ema = update_ema(run.ema, accepted_spine / len(spine) if spine else 0.0)
+        run.ema = update_ema(run.ema, run.ema_alpha, accepted_spine / len(spine) if spine else 0.0)
 
 
 @dataclass(frozen=True)
@@ -326,9 +316,9 @@ def _plan(run: _Run, config: EngineConfig, tree_kind: str | None, fanout: int) -
     if tree_kind == "iso":
         tree = build_iso_tree(anchor, fanout, config.node_budget, match.chain, run.table, prev_token=prev)
     else:
-        ratio = spine_ratio_tier(run.ema.value, config.spine_ratio_tiers)
+        ratio = spine_ratio_tier(run.ema, config.spine_ratio_tiers)
         tree = build_spine_tree(
-            anchor, draft, run.table, config.tree_budget(ratio),
+            anchor, draft, run.table, config.tree_budgets[ratio],
             prev_token=prev,
             spine_source=source,
             spine_branches=not config.disable_spine_branches,

@@ -53,9 +53,9 @@ class DraftNode(NamedTuple):
 class TreeBudget:
     """Node-budget split for one tree build.
 
-    ``spine_nodes(m)`` caps the spine at ``floor(B*r)``; of the remaining
-    ``B - 1 - b_s`` slots a ``1 - rho`` share goes to root branches and the
-    rest to spine branches (the root slot itself accounts for the ``- 1``).
+    ``split`` caps the spine at ``b_s <= floor(B*r) < B``; of the remaining
+    ``B - 1 - b_s >= 0`` slots a ``1 - rho`` share goes to root branches and
+    the rest to spine branches (the root slot itself accounts for the ``- 1``).
     """
 
     budget: int = 60
@@ -76,7 +76,7 @@ class TreeBudget:
     def split(self, chain_len: int) -> tuple[int, int, int]:
         """Return (b_s, b_r, b_rho) for a draft chain of length ``chain_len``."""
         b_s = min(chain_len, math.floor(self.budget * self.spine_ratio))
-        rest = max(self.budget - 1 - b_s, 0)
+        rest = self.budget - 1 - b_s
         b_r = math.floor(rest * (1.0 - self.spine_branch_ratio))
         b_rho = rest - b_r
         return b_s, b_r, b_rho
@@ -167,13 +167,11 @@ def build_spine_tree(
     b = _Builder(anchor, budget.budget, prev_token)
     b_s, b_r, b_rho = budget.split(len(chain))
 
-    # Step 1: spine chain.
+    # Step 1: spine chain. It stays below the budget (b_s < B), and a new node
+    # has no sibling that could refuse it, so every token of it attaches.
     parent = 0
     for token in chain[:b_s]:
-        index = b.attach(parent, token, spine_source)
-        if index is None:
-            break
-        parent = index
+        parent = b.attach(parent, token, spine_source)
     spine = list(range(len(b.nodes)))
 
     # Branch roots to extend in step 4: (score, index, chain allowance).

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from spinedec.bench import CorpusSpec, run_corpus, synergy_ratio
-from spinedec.engine import EmaState, EngineConfig, decode, spine_ratio_tier, update_ema
+from spinedec.engine import EngineConfig, decode, spine_ratio_tier, update_ema
 from spinedec.models import SyntheticModelSpec, ar_decode, build_synthetic
 from spinedec.theory import (
     AcceptanceModel,
@@ -290,18 +290,18 @@ def test_criterion_6_ablation_directions(corpus_runs):
 
 def test_criterion_7_ema_tier_convergence():
     tiers = EngineConfig().spine_ratio_tiers
-    up = EmaState(value=0.3, alpha=0.3)
+    up = 0.3
     up_cycles = None
     for cycle in range(1, 4):
-        up = update_ema(up, 1.0)
-        if spine_ratio_tier(up.value, tiers) == 0.50:
+        up = update_ema(up, 0.3, 1.0)
+        if spine_ratio_tier(up, tiers) == 0.50:
             up_cycles = cycle
             break
-    down = EmaState(value=0.3, alpha=0.3)
+    down = 0.3
     down_cycles = None
     for cycle in range(1, 4):
-        down = update_ema(down, 0.0)
-        if spine_ratio_tier(down.value, tiers) == 0.15:
+        down = update_ema(down, 0.3, 0.0)
+        if spine_ratio_tier(down, tiers) == 0.15:
             down_cycles = cycle
             break
     ok = up_cycles is not None and down_cycles is not None

@@ -13,7 +13,6 @@ from spinedec.adjacency import AdjacencyTable
 from spinedec.context import ContextIndex
 from spinedec.engine import (
     ENGINE_KINDS,
-    EmaState,
     EngineConfig,
     decode,
     spine_ratio_tier,
@@ -33,31 +32,30 @@ def make_model(kind: str, seed: int = 7, vocab: int = 48, repetition: float = 0.
 
 
 def test_ema_rises_to_the_top_tier_within_three_cycles():
-    state = EmaState(value=0.3, alpha=0.3)
+    value = 0.3
     seen = []
     for _ in range(3):
-        state = update_ema(state, 1.0)
-        seen.append(round(state.value, 4))
+        value = update_ema(value, 0.3, 1.0)
+        seen.append(round(value, 4))
     assert seen == [0.51, 0.657, 0.7599]
     assert spine_ratio_tier(seen[0], EngineConfig().spine_ratio_tiers) == 0.50
 
 
 def test_ema_falls_to_the_bottom_tier_by_cycle_two():
-    state = EmaState(value=0.3, alpha=0.3)
-    state = update_ema(state, 0.0)
-    assert round(state.value, 4) == 0.21
-    state = update_ema(state, 0.0)
-    assert round(state.value, 4) == 0.147
-    assert spine_ratio_tier(state.value, EngineConfig().spine_ratio_tiers) == 0.15
+    value = update_ema(0.3, 0.3, 0.0)
+    assert round(value, 4) == 0.21
+    value = update_ema(value, 0.3, 0.0)
+    assert round(value, 4) == 0.147
+    assert spine_ratio_tier(value, EngineConfig().spine_ratio_tiers) == 0.15
 
 
 def test_only_a_verified_draft_retunes_the_ema(monkeypatch):
     # Prefill and fallback verify the empty draft and leave the EMA alone.
     calls = []
 
-    def counted(state, observation):
+    def counted(value, alpha, observation):
         calls.append(observation)
-        return update_ema(state, observation)
+        return update_ema(value, alpha, observation)
 
     monkeypatch.setattr(engine_module, "update_ema", counted)
     _out, stats = decode("spine", make_model("template-repeater"), (2, 9, 4), 90)
@@ -67,15 +65,23 @@ def test_only_a_verified_draft_retunes_the_ema(monkeypatch):
 
 
 def test_ema_fixed_point():
-    state = EmaState(value=0.42, alpha=0.3)
-    assert update_ema(state, 0.42).value == pytest.approx(0.42)
+    assert update_ema(0.42, 0.3, 0.42) == pytest.approx(0.42)
 
 
 def test_ema_rejects_out_of_range_observations():
     with pytest.raises(ValueError):
-        update_ema(EmaState(), 1.5)
+        update_ema(0.3, 0.3, 1.5)
     with pytest.raises(ValueError):
-        EmaState(value=2.0)
+        EngineConfig(ema_init=2.0)
+
+
+def test_every_tier_budget_reaches_the_tree():
+    # Without bypass a long context match builds a tree, whose spine the
+    # current tier caps at floor(60 * ratio): 9 at 0.15 and 18 at 0.30.
+    model = make_model("template-repeater", vocab=64, repetition=0.9)
+    _out, stats = decode("spine", model, (2, 9, 4), 160, EngineConfig(disable_bypass=True))
+    spines = {r.offered_spine for r in stats.records if r.kind == "tree"}
+    assert {9, 18} <= spines
 
 
 def test_tier_is_a_monotone_step_function():

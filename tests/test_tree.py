@@ -172,6 +172,9 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
     )
 
     assert 1 <= len(tree) <= budget
+    # The spine spells the chain up to the tier's cap: every token of it attaches.
+    spine_tokens = [tree.nodes[i].token for i in tree.spine[1:]]
+    assert spine_tokens == list(chain[: min(len(chain), math.floor(budget * ratio))])
     # Spine contiguity: CONTEXT nodes form exactly the root chain (none when swapped).
     context_nodes = {i for i in range(1, len(tree)) if tree.nodes[i].source is Source.CONTEXT}
     assert context_nodes == (set() if swap else set(tree.spine[1:]))
