@@ -2,25 +2,27 @@
 
 A corpus is a seeded model spec plus prompt/generation sizes; everything a run
 emits is a pure function of (corpus, config, engine), so reports are
-byte-identical across repeat runs and across worker counts. Every engine run
-is checked against the autoregressive oracle before it is reported; a
-divergence is a hard failure carrying the first differing position. Engine
-logs also yield the per-source acceptance rates that the theory module's
-bound check takes as input.
+byte-identical across repeat runs and across worker counts. Parallel prompts
+run in worker processes, not threads: the decoder is pure Python, and threads
+would share one interpreter lock. Every engine run is checked against the
+autoregressive oracle before it is reported; a divergence is a hard failure
+carrying the first differing position, raised in the caller even when a
+worker found it. Engine logs also yield the per-source acceptance rates that
+the theory module's bound check takes as input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .engine import DecodeStats, EngineConfig, decode
+from .engine import ENGINE_KINDS, DecodeStats, EngineConfig, decode
 from .models import Spec, SyntheticModelSpec, ar_decode, build_synthetic
 from .theory import BoundSetting
 
@@ -52,10 +54,17 @@ class LosslessnessError(AssertionError):
     def __init__(self, prompt_id: int, position: int, got: int | None, want: int | None):
         self.prompt_id = prompt_id
         self.position = position
+        self.got = got
+        self.want = want
         super().__init__(
             f"prompt {prompt_id}: first divergence at position {position} "
             f"(engine={got!r}, reference={want!r})"
         )
+
+    def __reduce__(self):
+        # ``args`` holds only the message, so rebuild from the fields: a worker
+        # process sends its error to the caller pickled.
+        return type(self), (self.prompt_id, self.position, self.got, self.want)
 
 
 @dataclass(frozen=True)
@@ -206,16 +215,28 @@ def run_corpus(
     config: EngineConfig | None = None,
     jobs: int = 1,
 ) -> RunReport:
-    """Run every prompt of a corpus; results are ordered by prompt id."""
+    """Run every prompt of a corpus; results are ordered by prompt id.
+
+    Prompts run in ``min(jobs, spec.prompts)`` worker processes, or in this
+    process when that is 1. Every worker is joined before this returns or
+    raises.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if engine not in ENGINE_KINDS:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
     config = config or EngineConfig()
-    ids = list(range(spec.prompts))
-    if jobs == 1:
-        results = [run_prompt(spec, i, engine, config) for i in ids]
+    ids = range(spec.prompts)
+    run = functools.partial(run_prompt, spec, engine=engine, config=config)
+    workers = min(jobs, spec.prompts)
+    if workers == 1:
+        results = [run(i) for i in ids]
     else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda i: run_prompt(spec, i, engine, config), ids))
+        # Imported here: it loads multiprocessing, which ``import spinedec`` need not pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run, ids))
     return RunReport(corpus=spec, engine=engine, config=config, results=tuple(results))
 
 

@@ -324,12 +324,12 @@ def test_criterion_8_deterministic_reports():
     )
     first = run_corpus(spec, "spine", EngineConfig(), jobs=1).to_json()
     second = run_corpus(spec, "spine", EngineConfig(), jobs=1).to_json()
-    threaded = run_corpus(spec, "spine", EngineConfig(), jobs=3).to_json()
-    ok = first == second == threaded
+    parallel = run_corpus(spec, "spine", EngineConfig(), jobs=3).to_json()
+    ok = first == second == parallel
     _report(
         "criterion 8 (determinism)",
         ok,
         f"report bytes identical across repeats and worker counts: {ok}",
     )
     assert first == second
-    assert first == threaded
+    assert first == parallel

@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spinedec
 import spinedec.bench as bench
 from spinedec.bench import (
     CorpusSpec,
@@ -58,8 +66,8 @@ def test_run_corpus_ar_tau_is_exactly_one():
 def test_reports_are_byte_identical_across_runs_and_jobs():
     one = run_corpus(TINY, "spine", EngineConfig(), jobs=1).to_json()
     two = run_corpus(TINY, "spine", EngineConfig(), jobs=1).to_json()
-    threaded = run_corpus(TINY, "spine", EngineConfig(), jobs=2).to_json()
-    assert one == two == threaded
+    parallel = run_corpus(TINY, "spine", EngineConfig(), jobs=2).to_json()
+    assert one == two == parallel
 
 
 def test_report_carries_header_and_rows():
@@ -75,7 +83,7 @@ def test_report_carries_header_and_rows():
     assert report.cv_tau >= 0.0
 
 
-def test_losslessness_failure_reports_first_divergence(monkeypatch):
+def _tamper_position_5(monkeypatch):
     from spinedec.engine import decode as real_decode
 
     def broken_decode(engine, model, prompt, max_tokens, config):
@@ -85,10 +93,33 @@ def test_losslessness_failure_reports_first_divergence(monkeypatch):
         return TokenSequence(tokens=tuple(tampered)), stats
 
     monkeypatch.setattr(bench, "decode", broken_decode)
+
+
+def test_losslessness_failure_reports_first_divergence(monkeypatch):
+    _tamper_position_5(monkeypatch)
     with pytest.raises(LosslessnessError) as err:
         run_prompt(TINY, 0, "spine", EngineConfig())
     assert err.value.position == 5
     assert err.value.prompt_id == 0
+
+
+def test_losslessness_error_survives_pickling():
+    err = LosslessnessError(3, 5, 1, 2)
+    copy = pickle.loads(pickle.dumps(err))
+    assert type(copy) is LosslessnessError
+    assert (copy.prompt_id, copy.position, copy.got, copy.want) == (3, 5, 1, 2)
+    assert str(copy) == str(err)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the tampered decode reaches a worker only when it is forked",
+)
+def test_divergence_in_a_worker_reaches_the_caller(monkeypatch):
+    _tamper_position_5(monkeypatch)
+    with pytest.raises(LosslessnessError) as err:
+        run_corpus(TINY, "spine", EngineConfig(), jobs=2)
+    assert err.value.position == 5
 
 
 def test_unknown_engine_fails_before_the_oracle_runs(monkeypatch):
@@ -108,6 +139,57 @@ def test_jobs_below_one_fail_before_any_prompt_runs(monkeypatch, jobs):
     monkeypatch.setattr(bench, "run_prompt", prompt_must_not_run)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         run_corpus(TINY, "spine", jobs=jobs)
+
+
+def test_unknown_engine_fails_before_any_worker_starts(monkeypatch):
+    def prompt_must_not_run(*_args, **_kwargs):
+        raise AssertionError("a prompt ran before the engine name was checked")
+
+    monkeypatch.setattr(bench, "run_prompt", prompt_must_not_run)
+    with pytest.raises(ValueError, match="unknown engine"):
+        run_corpus(TINY, "turbo", jobs=2)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ``ProcessPoolExecutor`` by an in-process map; record each pool's size."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *_exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def test_workers_never_outnumber_prompts(pool_sizes):
+    parallel = run_corpus(TINY, "spine", EngineConfig(), jobs=8).to_json()
+    assert pool_sizes == [3]
+    assert parallel == run_corpus(TINY, "spine", EngineConfig(), jobs=1).to_json()
+
+
+def test_one_prompt_runs_without_a_pool(pool_sizes):
+    single = CorpusSpec("single", TINY.model, prompts=1, prompt_len=8, max_tokens=20)
+    report = run_corpus(single, "spine", jobs=4)
+    assert pool_sizes == []
+    assert len(report.results) == 1
+
+
+def test_import_does_not_load_multiprocessing():
+    src = str(Path(spinedec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import spinedec, sys; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_ablation_table_layout():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -407,7 +408,18 @@ def test_dominance_names_a_malformed_grid_chunk(
 
 @pytest.mark.parametrize(
     "command",
-    [["decode", "--out", "{tmp}/out"], ["ablate"], ["theory", "verify-bound", "--trials", "10"]],
+    [
+        ["decode", "--out", "{tmp}/out"],
+        ["ablate"],
+        ["theory", "verify-bound", "--trials", "10"],
+        pytest.param(
+            ["decode", "--out", "{tmp}/out", "--jobs", "2"],
+            marks=pytest.mark.skipif(
+                multiprocessing.get_start_method() != "fork",
+                reason="the tampered decode reaches a worker only when it is forked",
+            ),
+        ),
+    ],
 )
 def test_lossless_violation_exits_two(
     corpus_file: Path, tmp_path: Path, command, monkeypatch: pytest.MonkeyPatch,
