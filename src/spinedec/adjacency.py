@@ -15,6 +15,7 @@ by the source-swap control's spine and by a spine tree's branch extensions.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 __all__ = ["AdjacencyTable", "confidence_width", "DEFAULT_TOP_K", "MIN_SCORE"]
@@ -26,12 +27,17 @@ Entries = list[tuple[int, float]]
 
 
 def _merge(existing: Entries, new: Iterable[tuple[int, float]], top_k: int, min_score: float) -> Entries:
-    # Latest-wins per successor, then re-sort, truncate, threshold.
-    scores = {t: s for t, s in existing}
-    for t, s in new:
-        scores[t] = s
-    merged = sorted(scores.items(), key=lambda e: (-e[1], e[0]))
-    return [(t, s) for t, s in merged[:top_k] if s >= min_score]
+    # Latest-wins per successor, then best score first with ties to the
+    # smaller token (a stable reverse sort of the token-sorted list),
+    # truncate, and drop the suffix below the threshold.
+    scores = dict(existing)
+    scores.update(new)
+    merged = sorted(scores.items())
+    merged.sort(key=itemgetter(1), reverse=True)
+    del merged[top_k:]
+    while merged and merged[-1][1] < min_score:
+        merged.pop()
+    return merged
 
 
 class AdjacencyTable:

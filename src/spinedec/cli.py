@@ -156,7 +156,13 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_theory_yield(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     widths: list[int] = []
     for entry in args.widths.split(",") if args.widths else ():
         try:
@@ -230,6 +236,7 @@ def _cmd_theory_dominance(args: argparse.Namespace) -> int:
 def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
     if args.iso_fanout < 1 or args.trials < 1:
         raise ValueError(f"--iso-fanout and --trials must be >= 1, got {args.iso_fanout}, {args.trials}")
+    _check_seed(args.seed)
     config = _load_config(args.config)
     specs = [CorpusSpec.from_json(Path(path).read_text()) for path in args.corpus or []]
     raw = parse_json(Path(args.settings).read_text()) if args.settings else []

@@ -166,44 +166,54 @@ def monte_carlo_yield(
     Per trial every node is independently accepted (``p_s`` for context
     nodes, ``p_t`` otherwise) and a greedy walk advances from the root into
     the first accepted child in ``tree.children`` order, the verifier's walk
-    order; tau is the walk length plus one bonus token. Acceptance bits are
-    sampled lazily: only children actually inspected by the walk draw
-    randomness, which leaves the distribution unchanged. Fixed seed and
-    chunking make results bit-reproducible.
+    order; tau is the walk length plus one bonus token. Every child of each
+    node a trial's walk reaches draws one uniform, including children after
+    the first accepted one; nodes the walk never reaches draw nothing. The
+    stream is consumed chunk by chunk (``MC_CHUNK`` trials), then level by
+    level, then by node id ascending, then one row per trial on that node,
+    each row's draws in child order. A fixed seed and that order make
+    results bit-reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
-    children = tree.children
     rate = {Source.CONTEXT: model.p_s, Source.TRANSITION: model.p_t}
     prob = np.array([rate[n.source] for n in tree.nodes], dtype=np.float64)
+    kids = [np.asarray(c, dtype=np.int64) for c in tree.children]
+    kid_prob = [prob[k] for k in kids]
     total = 0.0
     total_sq = 0.0
     remaining = trials
     while remaining > 0:
         n = min(remaining, MC_CHUNK)
         remaining -= n
-        depth = np.zeros(n, dtype=np.int64)
-        current = np.zeros(n, dtype=np.int64)
-        active = np.arange(n)
-        while active.size:
-            next_active: list[np.ndarray] = []
-            for v in np.unique(current[active]):
-                group = active[current[active] == v]
-                kids = children[v]
-                if not kids:
+        # Trials on one node draw the same shape of row, so a level is fully
+        # described by how many walking trials sit on each node; a trial that
+        # stops on level d has tau d + 1.
+        count = np.zeros(len(kids), dtype=np.int64)
+        count[0] = walking = n
+        tau = 1
+        chunk_sum = chunk_sq = 0
+        while walking:
+            arrived = np.zeros_like(count)
+            for v in np.flatnonzero(count):
+                k = kids[v]
+                if not k.size:
                     continue
-                bits = rng.random((group.size, len(kids))) < prob[kids]
-                hit = bits.any(axis=1)
-                chosen = np.asarray(kids)[bits.argmax(axis=1)]
-                advanced = group[hit]
-                current[advanced] = chosen[hit]
-                depth[advanced] += 1
-                next_active.append(advanced)
-            active = np.concatenate(next_active) if next_active else np.empty(0, dtype=np.int64)
-        tau = depth + 1
-        total += float(tau.sum())
-        total_sq += float((tau * tau).sum())
+                rows = int(count[v])
+                bits = rng.random((rows, k.size)) < kid_prob[v]
+                first = bits.argmax(axis=1)
+                hit = bits[np.arange(rows), first]
+                arrived[k] = np.bincount(first[hit], minlength=k.size)
+            moved = int(arrived.sum())
+            chunk_sum += (walking - moved) * tau
+            chunk_sq += (walking - moved) * tau * tau
+            count, walking = arrived, moved
+            tau += 1
+        total += float(chunk_sum)
+        total_sq += float(chunk_sq)
     mean = total / trials
     if trials == 1:
         return mean, 0.0
@@ -365,6 +375,8 @@ def verify_bound(
     correlation of the analytic gain (tau_eq / tau_iso) against p_s / p_t over
     settings where both are finite.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rows: list[BoundRow] = []
     for i, setting in enumerate(settings):
         widths = _bound_widths(setting)

@@ -368,6 +368,39 @@ def test_bad_bound_counts_exit_before_decoding(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "inputs",
+    [
+        pytest.param(["corpus"], id="measured-corpus-only"),
+        pytest.param(["corpus", "settings"], id="corpus-plus-simulated-setting"),
+        pytest.param(["settings"], id="simulated-setting-only"),
+    ],
+)
+def test_verify_bound_rejects_a_negative_seed_before_decoding(
+    corpus_file: Path, tmp_path: Path, inputs: list[str], capsys: pytest.CaptureFixture, no_decoding
+):
+    settings = tmp_path / "settings.json"
+    settings.write_text(json.dumps(_setting()))
+    out = tmp_path / "bound.csv"
+    args = ["theory", "verify-bound", "--seed", "-1", "--trials", "100", "--out", str(out)]
+    if "corpus" in inputs:
+        args += ["--corpus", str(corpus_file)]
+    if "settings" in inputs:
+        args += ["--settings", str(settings)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [[], ["--trials", "100"]], ids=["analytic-only", "simulated"])
+def test_theory_yield_rejects_a_negative_seed(tmp_path: Path, trials: list[str], capsys: pytest.CaptureFixture):
+    out = tmp_path / "yield.csv"
+    args = ["theory", "yield", "--ps", "0.5", "--pt", "0.1", "--m", "1", "--widths", "2", "--seed", "-1"]
+    assert main([*args, *trials, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 def test_explicit_settings_follow_corpus_settings(corpus_file: Path, tmp_path: Path):
     path = tmp_path / "settings.json"
     path.write_text(json.dumps(_setting(tau_meas=10, stderr=0)))

@@ -17,6 +17,8 @@ from spinedec.bench import ABLATION_FLAGS, CorpusSpec, PromptResult, prompts_for
 from spinedec.cli import main
 from spinedec.engine import ENGINE_KINDS, EngineConfig, decode
 from spinedec.models import SyntheticModelSpec, build_synthetic
+from spinedec.theory import MC_CHUNK, AcceptanceModel, TreeShape, monte_carlo_yield, spine_shape_tree
+from spinedec.tree import ROOT, DraftNode, Source, SpineTree
 
 GOLDEN = CorpusSpec(
     "golden",
@@ -146,3 +148,54 @@ def test_theory_csv_matches_golden_digest(command, tmp_path):
     out = tmp_path / "out.csv"
     assert main(["theory", *_theory_args(command, tmp_path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == THEORY_DIGESTS[command]
+
+
+# Monte-Carlo estimates across chunk boundaries. The CLI digests above run
+# 20,000 trials, less than one MC_CHUNK, so these pin the chunk loop: the
+# exact repr of (mean, stderr) at one trial past a chunk and at three chunks
+# plus seven, on three trees. "mixed" is a fixed tree, drawn once at random,
+# with context and transition nodes at every depth below the root.
+MIXED_PARENTS = (
+    0, 1, 1, 3, 4, 2, 6, 0, 3, 4, 1, 2, 0, 0, 3, 1, 10, 5, 9, 18,
+    19, 18, 17, 2, 7, 14, 12, 10, 10, 24, 29, 15, 4, 18, 16, 32, 0, 27, 1,
+)
+MIXED_SOURCES = "tttcctccctccccttcccttcttttccctcttcccttt"
+
+
+def _golden_mc_tree(name: str) -> SpineTree:
+    if name == "novel":  # perfbench's "novel" bound setting
+        return spine_shape_tree(TreeShape(m=5, widths=(51, 4, 0, 0, 0), depth=6, budget=60))
+    if name == "richer":  # acceptance criterion 2's sub-branched tree
+        base = spine_shape_tree(TreeShape(m=3, widths=(2, 1, 1), depth=4, budget=60))
+        extra = [n for n in base.nodes[1:] if n.source is Source.TRANSITION]
+        return SpineTree(nodes=base.nodes + extra, spine=base.spine)
+    nodes = [DraftNode(0, Source.CONTEXT, ROOT)] + [
+        DraftNode(0, Source.CONTEXT if s == "c" else Source.TRANSITION, parent)
+        for parent, s in zip(MIXED_PARENTS, MIXED_SOURCES)
+    ]
+    return SpineTree(nodes=nodes, spine=[0])
+
+
+MC_CHUNK_PINS = {
+    # tree: (p_s, p_t, seed, {trials: repr((mean, stderr))})
+    "novel": (0.21, 0.033, 11, {
+        MC_CHUNK + 1: "(1.956757251628851, 0.002022303794539487)",
+        3 * MC_CHUNK + 7: "(1.9574752689265824, 0.0011765870134982264)",
+    }),
+    "richer": (0.70, 0.033, 12, {
+        MC_CHUNK + 1: "(2.5930085295329355, 0.004740742553470858)",
+        3 * MC_CHUNK + 7: "(2.5923810492587034, 0.0027349658180109925)",
+    }),
+    "mixed": (0.6, 0.4, 13, {
+        MC_CHUNK + 1: "(2.0506431481453227, 0.0014695072540742626)",
+        3 * MC_CHUNK + 7: "(2.052178114589426, 0.0008476203283745426)",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MC_CHUNK_PINS))
+def test_multi_chunk_monte_carlo_matches_golden_repr(name):
+    p_s, p_t, seed, pins = MC_CHUNK_PINS[name]
+    tree = _golden_mc_tree(name)
+    for trials, pinned in pins.items():
+        assert repr(monte_carlo_yield(AcceptanceModel(p_s, p_t), tree, trials, seed)) == pinned

@@ -3,12 +3,16 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinedec.bench import measure_heterogeneity, setting_from_stats
 from spinedec.engine import EngineConfig, decode
 from spinedec.models import SyntheticModelSpec, build_synthetic
 from spinedec.theory import (
+    MC_CHUNK,
     AcceptanceModel,
     BoundSetting,
     TreeShape,
@@ -157,6 +161,83 @@ def test_monte_carlo_validates_inputs():
         monte_carlo_yield(AcceptanceModel(0.5, 0.2), tree, trials=0)
     with pytest.raises(ValueError):
         AcceptanceModel(1.2, 0.5)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        monte_carlo_yield(AcceptanceModel(0.5, 0.2), tree, trials=10, seed=-1)
+
+
+def test_verify_bound_rejects_a_negative_seed_even_when_nothing_is_simulated():
+    measured = BoundSetting("s", p_s=0.5, p_t=0.1, m=3, budget=30, tau_meas=2.0, stderr=0.1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        verify_bound([measured], seed=-1)
+
+
+def _reference_monte_carlo_yield(model, tree, trials, seed=0):
+    """The simulator as it was before the per-node count walk, kept verbatim
+    as an oracle: one boolean mask over the active trials per distinct node."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    rng = np.random.default_rng(seed)
+    children = tree.children
+    rate = {Source.CONTEXT: model.p_s, Source.TRANSITION: model.p_t}
+    prob = np.array([rate[n.source] for n in tree.nodes], dtype=np.float64)
+    total = 0.0
+    total_sq = 0.0
+    remaining = trials
+    while remaining > 0:
+        n = min(remaining, MC_CHUNK)
+        remaining -= n
+        depth = np.zeros(n, dtype=np.int64)
+        current = np.zeros(n, dtype=np.int64)
+        active = np.arange(n)
+        while active.size:
+            next_active: list[np.ndarray] = []
+            for v in np.unique(current[active]):
+                group = active[current[active] == v]
+                kids = children[v]
+                if not kids:
+                    continue
+                bits = rng.random((group.size, len(kids))) < prob[kids]
+                hit = bits.any(axis=1)
+                chosen = np.asarray(kids)[bits.argmax(axis=1)]
+                advanced = group[hit]
+                current[advanced] = chosen[hit]
+                depth[advanced] += 1
+                next_active.append(advanced)
+            active = np.concatenate(next_active) if next_active else np.empty(0, dtype=np.int64)
+        tau = depth + 1
+        total += float(tau.sum())
+        total_sq += float((tau * tau).sum())
+    mean = total / trials
+    if trials == 1:
+        return mean, 0.0
+    var = max((total_sq - trials * mean * mean) / (trials - 1), 0.0)
+    return mean, math.sqrt(var / trials)
+
+
+@st.composite
+def _random_trees(draw) -> SpineTree:
+    nodes = [DraftNode(0, Source.CONTEXT, ROOT)]
+    for i in range(1, draw(st.integers(1, 40))):
+        nodes.append(DraftNode(0, draw(st.sampled_from(Source)), draw(st.integers(0, i - 1))))
+    return SpineTree(nodes=nodes, spine=[0])
+
+
+_rates = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    tree=_random_trees(),
+    p_s=_rates,
+    p_t=_rates,
+    trials=st.sampled_from((1, 2, 1000, MC_CHUNK, MC_CHUNK + 1)),
+    seed=st.integers(0, 2**63),
+)
+def test_monte_carlo_matches_the_per_node_mask_reference_bit_for_bit(tree, p_s, p_t, trials, seed):
+    model = AcceptanceModel(p_s, p_t)
+    assert monte_carlo_yield(model, tree, trials, seed) == _reference_monte_carlo_yield(
+        model, tree, trials, seed
+    )
 
 
 @pytest.mark.parametrize("parent", [1, 2, ROOT], ids=["self", "forward", "second-root"])
