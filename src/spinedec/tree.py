@@ -56,6 +56,8 @@ class TreeBudget:
     ``split`` caps the spine at ``b_s <= floor(B*r) < B``; of the remaining
     ``B - 1 - b_s >= 0`` slots a ``1 - rho`` share goes to root branches and
     the rest to spine branches (the root slot itself accounts for the ``- 1``).
+    Steps 1-3 of ``build_spine_tree`` keep within these shares, so the budget
+    binds in one place: step 4's cap on each branch extension.
     """
 
     budget: int = 60
@@ -124,15 +126,14 @@ def tree_query(tree: SpineTree, base: Sequence[int], scored_from: int | None = N
 
 
 class _Builder:
-    def __init__(self, anchor: int, budget: int, prev_token: int | None):
+    def __init__(self, anchor: int, prev_token: int | None):
         self.nodes: list[DraftNode] = [DraftNode(anchor, Source.CONTEXT, ROOT)]
         self.child_tokens: list[set[int]] = [set()]
-        self.budget = budget
         self.prev_token = prev_token
 
     def attach(self, parent: int, token: int, source: Source) -> int | None:
-        """Add a child unless over budget or duplicating a sibling token."""
-        if len(self.nodes) >= self.budget or token in self.child_tokens[parent]:
+        """Add a child unless a sibling has its token; the budget binds in the builders, not here."""
+        if token in self.child_tokens[parent]:
             return None
         self.nodes.append(DraftNode(token, source, parent))
         self.child_tokens.append(set())
@@ -164,11 +165,10 @@ def build_spine_tree(
     less one and the budget left. An empty chain yields a transition-only
     tree; an empty table, a bare chain.
     """
-    b = _Builder(anchor, budget.budget, prev_token)
+    b = _Builder(anchor, prev_token)
     b_s, b_r, b_rho = budget.split(len(chain))
 
-    # Step 1: spine chain. It stays below the budget (b_s < B), and a new node
-    # has no sibling that could refuse it, so every token of it attaches.
+    # Step 1: spine chain; no sibling can refuse a new node, so every token attaches.
     parent = 0
     for token in chain[:b_s]:
         parent = b.attach(parent, token, spine_source)
@@ -196,7 +196,7 @@ def build_spine_tree(
     attach_branches(0, b_r)
 
     # Step 3: spine branches, 1/i harmonic decay over spine nodes.
-    if spine_branches and b_s > 0 and b_rho > 0:
+    if spine_branches:
         spine_chain = spine[1:]
         harmonic = sum(1.0 / j for j in range(1, len(spine_chain) + 1))
         for i, node_index in enumerate(spine_chain, start=1):
@@ -206,7 +206,7 @@ def build_spine_tree(
     # chain token and the table's top-1 chain is its whole extension.
     for _score, leaf, allowance in sorted(branch_roots, key=lambda r: (-r[0], r[1])):
         node = b.nodes[leaf]
-        length = min(allowance, budget.max_depth - 1, b.budget - len(b.nodes))
+        length = min(allowance, budget.max_depth - 1, budget.budget - len(b.nodes))
         for token in table.chain(b.nodes[node.parent].token, node.token, length):
             leaf = b.attach(leaf, token, Source.TRANSITION)
 
@@ -228,15 +228,15 @@ def build_iso_tree(
     (when the node sits on the matched chain) followed by table successors,
     by score.
     """
-    levels, total = iso_levels(fanout, node_budget)
-    b = _Builder(anchor, total + 1, prev_token)  # + root, which the level budget excludes
+    levels, _total = iso_levels(fanout, node_budget)
+    b = _Builder(anchor, prev_token)
 
     frontier = [0]
     for depth in range(1, levels + 1):
         next_frontier: list[int] = []
         for node_index in frontier:
             # The root and the matched chain's path are the only context nodes.
-            pool = [(t, Source.TRANSITION) for t, _s in b.successors(table, node_index, fanout + 1)]
+            pool = [(t, Source.TRANSITION) for t, _s in b.successors(table, node_index, fanout)]
             if b.nodes[node_index].source is Source.CONTEXT and depth <= len(chain):
                 pool.insert(0, (chain[depth - 1], Source.CONTEXT))
             for token, source in pool:

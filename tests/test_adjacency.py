@@ -53,9 +53,10 @@ def test_successors_bigram_disabled_uses_unigram():
 
 
 def test_entries_below_threshold_are_dropped():
+    # A score exactly at the threshold (0.01) is kept.
     table = AdjacencyTable()
-    table.harvest([(3, 4, [(1, 0.5), (2, 0.009)])])
-    assert table.bigram[(3, 4)] == [(1, 0.5)]
+    table.harvest([(3, 4, [(1, 0.5), (2, 0.009), (5, 0.01)])])
+    assert table.bigram[(3, 4)] == [(1, 0.5), (5, 0.01)]
 
 
 def test_truncation_to_top_k():

@@ -64,6 +64,26 @@ def test_only_a_verified_draft_retunes_the_ema(monkeypatch):
     assert len(calls) == kinds.count("bypass") + kinds.count("tree")
 
 
+def test_a_one_node_tree_is_walked_and_retunes_the_ema(monkeypatch):
+    # At node budget 2 a tree has at most one node past the root; it is still
+    # a tree cycle, not an empty-tree fallback, and its verdict moves the EMA.
+    calls = []
+
+    def counted(value, alpha, observation):
+        calls.append(observation)
+        return update_ema(value, alpha, observation)
+
+    monkeypatch.setattr(engine_module, "update_ema", counted)
+    model = make_model("template-repeater", vocab=64, repetition=0.9)
+    config = EngineConfig(node_budget=2, ema_init=0.5, disable_bypass=True)
+    out, stats = decode("spine", model, (2, 9, 4), 120, config)
+    trees = [r for r in stats.records if r.kind == "tree"]
+    assert len(trees) == 39
+    assert all(r.offered_context + r.offered_transition == 1 for r in trees)
+    assert len(calls) == len(trees)
+    assert out.tokens == ar_decode(model, (2, 9, 4), 120).tokens
+
+
 def test_ema_fixed_point():
     assert update_ema(0.42, 0.3, 0.42) == pytest.approx(0.42)
 
@@ -114,7 +134,9 @@ def test_config_rejects_unknown_keys():
         dict(node_budget=0),
         dict(max_tree_depth=0),
         dict(spine_branch_ratio=1.0),
+        dict(spine_branch_ratio=0.0),
         dict(spine_ratio_tiers=((0.2, 0.15), (1.0, 1.0))),
+        dict(spine_ratio_tiers=((1.0, 0.0),)),
         dict(ema_init=1.5),
         dict(ema_smoothing=0.0),
     ],

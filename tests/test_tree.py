@@ -80,6 +80,16 @@ def test_harmonic_allocation_three_one_one():
     assert per_spine_branches == sorted(per_spine_branches, reverse=True)
 
 
+def test_one_slot_spine_branch_budget_branches_the_spine():
+    # B=4, r=0.5 over chain (1,): spine 1, root branches 1, spine branches 1.
+    # That one slot hangs off spine node 1, not off a root-branch extension.
+    budget = TreeBudget(budget=4, spine_ratio=0.5)
+    assert budget.split(1) == (1, 1, 1)
+    tree = build_spine_tree(0, (1,), saturated_table(), budget, prev_token=None)
+    kids = tree.children[tree.spine[1]]
+    assert [tree.nodes[i].source for i in kids] == [Source.TRANSITION]
+
+
 def test_empty_chain_builds_transition_only_tree():
     table = saturated_table()
     tree = build_spine_tree(0, (), table, TreeBudget(budget=20), prev_token=1)
@@ -190,7 +200,9 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
     # An iso tree's context nodes are one root path spelling the matched chain's prefix.
     fanout = 1 + seed % 5
     iso = build_iso_tree(anchor, fanout, budget, chain, table, prev)
-    levels, _total = iso_levels(fanout, budget)
+    levels, total = iso_levels(fanout, budget)
+    assert len(iso) - 1 <= total
+    assert iso.spine == [0]
     path = [i for i in range(1, len(iso)) if iso.nodes[i].source is Source.CONTEXT]
     assert [iso.nodes[i].parent for i in path] == ([0] + path)[: len(path)]
     assert tuple(iso.nodes[i].token for i in path) == chain[: min(len(chain), levels)]
