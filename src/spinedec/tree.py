@@ -178,8 +178,6 @@ def build_spine_tree(
     branch_roots: list[tuple[float, int, int]] = []
 
     def attach_branches(parent_index: int, count: int) -> None:
-        if count <= 0:
-            return
         entries = b.successors(table, parent_index, count + len(b.child_tokens[parent_index]))
         taken: list[tuple[int, float]] = []
         for token, score in entries:

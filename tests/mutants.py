@@ -14,7 +14,6 @@ script exit 1. ``--list`` only enumerates the mutants and checks that every
 
     python tests/mutants.py --list
     python tests/mutants.py                # every mutant, 17-21 minutes on 2 cores
-    python tests/mutants.py --match tree.py:181
 
 pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -76,8 +75,6 @@ EQUIVALENT = {
     ): "the width-1 lookup is only tested for truth, and a wider list is non-empty exactly when it is",
     ("adjacency.py", "AdjacencyTable.chain", "entries = self.successors(prev, cur, 1)", "1 -> 2"):
         "the width-1 lookup is tested for truth and read at index 0 only",
-    ("tree.py", "build_spine_tree", "if count <= 0:", "<= -> <"):
-        "at count 0 the loop below takes no entry, so the early return only skips a lookup",
 }
 
 _SWAPS = {
@@ -228,11 +225,10 @@ def _timed(pristine: Path, args: tuple[str, ...]) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--list", action="store_true", help="enumerate the mutants, check EQUIVALENT, run no test")
-    parser.add_argument("--match", default="", help="probe only mutants whose name contains this text")
     args = parser.parse_args(argv)
 
-    mutants = [m for m in enumerate_mutants() if args.match in m.name]
-    stale = [] if args.match else sorted(set(EQUIVALENT) - {m.key for m in mutants})
+    mutants = enumerate_mutants()
+    stale = sorted(set(EQUIVALENT) - {m.key for m in mutants})
     if args.list:
         for m in mutants:
             print(m.name + ("  [equivalent]" if m.key in EQUIVALENT else ""))
