@@ -1,10 +1,10 @@
 """Command-line front end: corpus generation, decoding, ablation, theory.
 
-All outputs are deterministic functions of the arguments; CSV column orders
-are fixed. Bad input (a malformed argument, corpus, config or settings file,
-a path that names a directory or cannot be read, or an --out that cannot be
-written) exits 1 before any decoding; exit 2 means only that an engine's
-output diverged from the autoregressive reference.
+All outputs are deterministic functions of the arguments; each CSV's columns
+are the keys of its rows, in order. Bad input (a malformed argument, corpus,
+config or settings file, a path that names a directory or cannot be read, or
+an --out that cannot be written) exits 1 before any decoding; exit 2 means
+only that an engine's output diverged from the autoregressive reference.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .bench import (
     setting_from_stats,
 )
 from .engine import ENGINE_KINDS, EngineConfig
-from .models import SyntheticModelSpec, parse_json
+from .models import MODEL_KINDS, SyntheticModelSpec, parse_json
 from .theory import (
     AcceptanceModel,
     BoundSetting,
@@ -37,12 +37,6 @@ from .theory import (
     verify_bound,
 )
 from .tree import linear_allocation
-
-VERIFY_BOUND_COLUMNS = (
-    "setting_id", "p_s", "p_t", "m", "B",
-    "tau_eq5", "tau_meas", "stderr", "tau_iso", "ratio",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit 1 like any other bad input; exit 2 means divergence."""
@@ -62,11 +56,12 @@ def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _write_csv(path: str | None, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+def _write_csv(path: str | None, rows: Sequence[dict]) -> None:
+    """Write ``rows`` (at least one) under a header of the first row's keys."""
     out = open(path, "w", newline="") if path else sys.stdout
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
+        writer.writeheader()
         writer.writerows(rows)
     finally:
         if path:
@@ -122,12 +117,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     report = run_corpus(spec, args.engine, config, jobs=args.jobs)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
-    rows = [r.row() for r in report.results]
-    _write_csv(
-        str(out_dir / "per_prompt.csv"),
-        list(rows[0].keys()),
-        [[row[k] for k in rows[0].keys()] for row in rows],
-    )
+    _write_csv(str(out_dir / "per_prompt.csv"), [r.row() for r in report.results])
     (out_dir / "generated.jsonl").write_text(
         "".join(
             json.dumps({"prompt_id": r.prompt_id, "tokens": list(r.tokens)}) + "\n"
@@ -147,11 +137,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     rows = ablation_table(spec, config, jobs=args.jobs)
     _write_csv(
         args.out,
-        ("label", "mean_tau", "median_tau", "delta_rel"),
-        [
-            (r["label"], _fmt(r["mean_tau"]), _fmt(r["median_tau"]), _fmt(r["delta_rel"]))
-            for r in rows
-        ],
+        [{k: _fmt(v) if isinstance(v, float) else v for k, v in r.items()} for r in rows],
     )
     return 0
 
@@ -172,27 +158,24 @@ def _cmd_theory_yield(args: argparse.Namespace) -> int:
     shape = TreeShape(m=args.m, widths=tuple(widths), depth=args.depth, budget=args.budget)
     model = AcceptanceModel(p_s=args.ps, p_t=args.pt)
     report = spine_yield(model, shape)
-    row = [
-        _fmt(args.ps), _fmt(args.pt), args.m, args.depth, args.budget,
-        _fmt(report.spine_term), _fmt(report.synergy_term), _fmt(report.bonus),
-        _fmt(report.tau_eq),
-    ]
-    header = ["p_s", "p_t", "m", "D", "B", "spine_term", "synergy_term", "bonus", "tau_eq5"]
+    row = {
+        "p_s": _fmt(args.ps), "p_t": _fmt(args.pt), "m": args.m, "D": args.depth, "B": args.budget,
+        "spine_term": _fmt(report.spine_term), "synergy_term": _fmt(report.synergy_term),
+        "bonus": _fmt(report.bonus), "tau_eq5": _fmt(report.tau_eq),
+    }
     if args.trials:
         mean, stderr = monte_carlo_yield(model, spine_shape_tree(shape), args.trials, seed=args.seed)
-        header += ["tau_meas", "stderr"]
-        row += [_fmt(mean), _fmt(stderr)]
-    _write_csv(args.out, header, [row])
+        row.update(tau_meas=_fmt(mean), stderr=_fmt(stderr))
+    _write_csv(args.out, [row])
     return 0
 
 
 def _cmd_theory_allocate(args: argparse.Namespace) -> int:
     widths = linear_allocation(args.ps, args.pt, args.m, args.bt)
-    _write_csv(
-        args.out,
-        ("p_s", "p_t", "m", "branch_budget", "widths"),
-        [[_fmt(args.ps), _fmt(args.pt), args.m, args.bt, " ".join(map(str, widths))]],
-    )
+    _write_csv(args.out, [{
+        "p_s": _fmt(args.ps), "p_t": _fmt(args.pt), "m": args.m, "branch_budget": args.bt,
+        "widths": " ".join(map(str, widths)),
+    }])
     return 0
 
 
@@ -215,17 +198,14 @@ def _cmd_theory_dominance(args: argparse.Namespace) -> int:
             except ValueError:
                 raise ValueError(f"grid chunk {chunk!r} is not of the form ps,pt,B") from None
     rows = dominance_scan(points, depth=args.depth)
-    _write_csv(
-        args.out,
-        ("p_s", "p_t", "B", "tau_spine", "best_m", "tau_iso", "best_k", "gap", "violation"),
-        [
-            (
-                _fmt(r.p_s), _fmt(r.p_t), r.budget, _fmt(r.tau_spine), r.best_m,
-                _fmt(r.tau_iso), r.best_k, _fmt(r.gap), int(r.violation),
-            )
-            for r in rows
-        ],
-    )
+    _write_csv(args.out, [
+        {
+            "p_s": _fmt(r.p_s), "p_t": _fmt(r.p_t), "B": r.budget, "tau_spine": _fmt(r.tau_spine),
+            "best_m": r.best_m, "tau_iso": _fmt(r.tau_iso), "best_k": r.best_k, "gap": _fmt(r.gap),
+            "violation": int(r.violation),
+        }
+        for r in rows
+    ])
     violations = sum(r.violation for r in rows)
     if violations:
         print(f"{violations} dominance violations", file=sys.stderr)
@@ -256,18 +236,15 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
     report = verify_bound(
         settings + explicit, iso_fanout=args.iso_fanout, trials=args.trials, seed=args.seed
     )
-    _write_csv(
-        args.out,
-        VERIFY_BOUND_COLUMNS,
-        [
-            (
-                r.setting.setting_id, _fmt(r.setting.p_s), _fmt(r.setting.p_t),
-                r.setting.m, r.setting.budget, _fmt(r.tau_eq), _fmt(r.tau_meas),
-                _fmt(r.stderr), _fmt(r.tau_iso), _fmt(r.ratio),
-            )
-            for r in report.rows
-        ],
-    )
+    _write_csv(args.out, [
+        {
+            "setting_id": r.setting.setting_id, "p_s": _fmt(r.setting.p_s), "p_t": _fmt(r.setting.p_t),
+            "m": r.setting.m, "B": r.setting.budget, "tau_eq5": _fmt(r.tau_eq),
+            "tau_meas": _fmt(r.tau_meas), "stderr": _fmt(r.stderr), "tau_iso": _fmt(r.tau_iso),
+            "ratio": _fmt(r.ratio),
+        }
+        for r in report.rows
+    ])
     if report.violations:
         print(f"{report.violations} bound violations", file=sys.stderr)
         return 1
@@ -280,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("corpus-gen", help="write a corpus spec JSON")
     gen.add_argument("--name", required=True)
-    gen.add_argument("--kind", choices=("markov-order-2", "template-repeater"), required=True)
+    gen.add_argument("--kind", choices=MODEL_KINDS, required=True)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--vocab", type=int, required=True)
     gen.add_argument("--repetition", type=float, default=0.0)

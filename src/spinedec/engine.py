@@ -237,7 +237,6 @@ class _Run:
         self.index = None if config.disable_spine else config.context_index(prompt)
         self.stats = DecodeStats()
         self.ema, self.ema_alpha = config.ema_init, config.ema_smoothing
-        self.done = max_tokens == 0
 
 
 def _finish_walk(run: _Run, reason: str, walk: WalkResult) -> None:
@@ -361,14 +360,14 @@ def decode(
     Each cycle makes one ``_plan`` call and one model call: a tree plan is
     walked, and any other plan's draft is verified linearly, the empty draft
     of a prefill or fallback plan too. Output equals ``ar_decode`` exactly for
-    every engine.
+    every engine, after at most ``max_tokens`` model calls, prefill included.
     """
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINE_KINDS}")
     overrides, tree_kind, fanout = _ENGINES[engine]
     config = replace(config or EngineConfig(), **overrides)
     run = _Run(model, prompt, max_tokens, config, tree_kind)
-    while not run.done:
+    for _ in range(max_tokens):  # every cycle emits at least one token
         plan = _plan(run, config, tree_kind, fanout)
         scored_from = len(run.history) - 1 if run.stats.records else 0  # prefill scores the prompt
         if plan.tree is not None:
@@ -376,4 +375,6 @@ def decode(
         else:
             walk = linear_verify(model, plan.draft, run.history, source=plan.source, scored_from=scored_from)
         _finish_walk(run, plan.reason, walk)
+        if run.done:
+            break
     return TokenSequence(tokens=tuple(run.out)), run.stats

@@ -39,6 +39,7 @@ __all__ = [
     "SyntheticModelSpec",
     "MarkovModel",
     "TemplateRepeaterModel",
+    "MODEL_KINDS",
     "build_synthetic",
     "ar_decode",
 ]
@@ -197,7 +198,7 @@ class SyntheticModelSpec(Spec):
     Construction builds the model once, so its own checks reject a bad spec.
     """
 
-    kind: str  # "markov-order-2" | "template-repeater"
+    kind: str  # one of MODEL_KINDS
     seed: int
     vocab: int
     repetition: float = 0.0
@@ -386,13 +387,22 @@ class TemplateRepeaterModel(_SyntheticModel):
         return Prediction(token=predicted, top_k=entries)
 
 
+# Synthetic model kind -> constructor from its spec.
+_SYNTHETIC = {
+    "markov-order-2": lambda spec: MarkovModel(seed=spec.seed, vocab_size=spec.vocab),
+    "template-repeater": lambda spec: TemplateRepeaterModel(
+        seed=spec.seed, vocab_size=spec.vocab, repetition=spec.repetition
+    ),
+}
+
+MODEL_KINDS = tuple(_SYNTHETIC)
+
+
 def build_synthetic(spec: SyntheticModelSpec) -> TargetModel:
     """Construct a deterministic synthetic model from its spec."""
-    if spec.kind == "markov-order-2":
-        return MarkovModel(seed=spec.seed, vocab_size=spec.vocab)
-    if spec.kind == "template-repeater":
-        return TemplateRepeaterModel(seed=spec.seed, vocab_size=spec.vocab, repetition=spec.repetition)
-    raise ValueError(f"unknown synthetic model kind: {spec.kind!r}")
+    if spec.kind not in _SYNTHETIC:
+        raise ValueError(f"unknown synthetic model kind: {spec.kind!r}")
+    return _SYNTHETIC[spec.kind](spec)
 
 
 def ar_decode(model: TargetModel, prompt: Sequence[int], max_tokens: int) -> TokenSequence:

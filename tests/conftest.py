@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import strategies as st
 
 from spinedec.engine import EngineConfig
-from spinedec.models import ModelQuery, ModelResponse, Prediction, SyntheticModelSpec
+from spinedec.models import MODEL_KINDS, ModelQuery, ModelResponse, Prediction, SyntheticModelSpec
 
 _SCRIPT_SCORES = (0.6, 0.2, 0.1, 0.05)
 
@@ -103,7 +103,7 @@ _open_unit = st.floats(0.01, 0.99)
 
 model_specs = st.builds(
     SyntheticModelSpec,
-    kind=st.sampled_from(("markov-order-2", "template-repeater")),
+    kind=st.sampled_from(MODEL_KINDS),
     seed=st.integers(-(2**63), 2**64),
     vocab=st.integers(2, 96),
     repetition=unit_floats,

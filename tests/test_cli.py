@@ -11,7 +11,7 @@ import spinedec.bench as bench
 import spinedec.cli as cli
 from spinedec.cli import main
 from spinedec.models import TokenSequence
-from spinedec.theory import AcceptanceModel, TreeShape, spine_yield
+from spinedec.theory import AcceptanceModel, DominanceRow, TreeShape, spine_yield
 from spinedec.tree import linear_allocation
 
 
@@ -409,6 +409,31 @@ def test_explicit_settings_follow_corpus_settings(corpus_file: Path, tmp_path: P
     assert main(args + ["--out", str(out)]) == 0
     ids = [row["setting_id"] for row in csv.DictReader(out.open())]
     assert ids == ["cli-smoke/0", "cli-smoke/1", "s"]
+
+
+def test_verify_bound_violation_exits_one_after_writing(tmp_path: Path, capsys: pytest.CaptureFixture):
+    # A measured tau of 1.0 with no error bar falls below this setting's bound.
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(_setting(setting_id="low", p_s=0.9, p_t=0.5, m=5, tau_meas=1.0, stderr=0.0)))
+    out = tmp_path / "bound.csv"
+    assert main(["theory", "verify-bound", "--settings", str(path), "--trials", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "1 bound violations\n"
+    assert [row["setting_id"] for row in csv.DictReader(out.open())] == ["low"]
+
+
+def test_dominance_violation_exits_one_after_writing(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
+):
+    # No valid grid point is known to violate dominance, so the scan is replaced.
+    def scan(points, depth):
+        return [DominanceRow(p_s=0.5, p_t=0.1, budget=10, tau_spine=2.0, best_m=3, tau_iso=2.5, best_k=2)]
+
+    monkeypatch.setattr(cli, "dominance_scan", scan)
+    out = tmp_path / "dominance.csv"
+    assert main(["theory", "dominance", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "1 dominance violations\n"
+    rows = list(csv.DictReader(out.open()))
+    assert [(r["violation"], r["gap"]) for r in rows] == [("1", "-0.5")]
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])

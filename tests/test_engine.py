@@ -18,7 +18,7 @@ from spinedec.engine import (
     spine_ratio_tier,
     update_ema,
 )
-from spinedec.models import SyntheticModelSpec, ar_decode, build_synthetic
+from spinedec.models import MODEL_KINDS, SyntheticModelSpec, ar_decode, build_synthetic
 
 SMALL = EngineConfig(node_budget=16)
 REASONS = ("prefill", "bypass:long", "bypass:consensus", "tree", "fallback:no-source", "fallback:empty-tree")
@@ -330,7 +330,7 @@ def test_eos_ends_a_walk_accepted_past_it(engine):
 
 
 def test_transition_baseline_equals_flagged_spine_engine():
-    for kind in ("markov-order-2", "template-repeater"):
+    for kind in MODEL_KINDS:
         model_a = make_model(kind)
         model_b = make_model(kind)
         out_a, stats_a = decode("transition", model_a, (1, 2, 3), 120)
@@ -439,6 +439,7 @@ def test_random_configs_models_and_prompts_decode_losslessly(config, spec, engin
     out, stats = decode(engine, build_synthetic(spec), prompt, max_tokens, config)
     assert out == ar_decode(build_synthetic(spec), prompt, max_tokens)
     assert stats.total_tokens == len(out)
+    assert stats.model_calls <= max_tokens
 
 
 

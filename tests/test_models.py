@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import ScriptedModel, engine_configs, model_specs, unit_floats
 from spinedec.bench import CorpusSpec
 from spinedec.models import (
+    MODEL_KINDS,
     MarkovModel,
     ModelQuery,
     SyntheticModelSpec,
@@ -162,7 +163,7 @@ def test_spec_json_round_trip():
     assert set(raw) and all(key in raw for key in ('"kind"', '"seed"', '"vocab"', '"repetition"'))
 
 
-@pytest.mark.parametrize("kind", ["markov-order-2", "template-repeater"])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @pytest.mark.parametrize("repetition", [5.0, -1.0, float("nan")])
 def test_repetition_outside_unit_interval_is_rejected_for_every_kind(kind: str, repetition: float):
     with pytest.raises(ValueError, match="repetition"):
