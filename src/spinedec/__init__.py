@@ -11,7 +11,7 @@ the anisotropic shape over balanced trees, both analytically and by
 simulation.
 """
 
-from .adjacency import AdjacencyTable, confidence_width
+from .adjacency import AdjacencyTable
 from .bench import (
     CorpusSpec,
     LosslessnessError,
@@ -62,6 +62,7 @@ from .tree import (
     TreeBudget,
     build_iso_tree,
     build_spine_tree,
+    confidence_width,
     linear_allocation,
     tree_query,
 )

@@ -7,10 +7,12 @@ far faster than accepted-positions-only harvesting would. Writes and reads
 share one key: ``harvest`` takes ``(prev, cur, candidates)`` items, and
 ``successors`` and ``chain`` take ``(prev, cur)``.
 
-The table owns its lookup policy: the score threshold (nothing below it is
-stored, so nothing below it is ever returned) and the bigram switch (off, every
-lookup reads the unigram tier). ``chain`` is the one top-1 successor walk, read
-by the source-swap control's spine and by a spine tree's branch extensions.
+The table returns what it stores, and each reader takes as many as it needs.
+Its policy acts on writes: the score threshold (nothing below it is stored, so
+nothing below it is returned) and the bigram switch (off, no bigram key is
+written, so every lookup reads the unigram tier). ``chain`` is the one top-1
+successor walk, read by the source-swap control's spine and by a spine tree's
+branch extensions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-__all__ = ["AdjacencyTable", "confidence_width", "DEFAULT_TOP_K", "MIN_SCORE"]
+__all__ = ["AdjacencyTable", "DEFAULT_TOP_K", "MIN_SCORE"]
 
 DEFAULT_TOP_K = 10
 MIN_SCORE = 0.01
@@ -61,32 +63,25 @@ class AdjacencyTable:
         """Merge scored positions into both tiers.
 
         Each item is ``(prev, cur, candidates)``, keyed like ``successors`` and
-        ``chain``; a ``prev`` of None feeds the unigram tier only.
+        ``chain``; a ``prev`` of None, or the bigram switch off, feeds the
+        unigram tier only.
         """
         for prev, cur, candidates in items:
             self.unigram[cur] = _merge(
                 self.unigram.get(cur, []), candidates, self.top_k, self.min_score
             )
-            if prev is not None:
+            if self.use_bigram and prev is not None:
                 key = (prev, cur)
                 self.bigram[key] = _merge(
                     self.bigram.get(key, []), candidates, self.top_k, self.min_score
                 )
 
-    def successors(self, prev: int | None, cur: int, width: int) -> Entries:
-        """Top-``width`` successors of the context, bigram tier first.
+    def successors(self, prev: int | None, cur: int) -> Entries:
+        """The context's stored successor list, best first; callers only read it.
 
-        Falls back to the unigram tier when the bigram tier is switched off or
-        its key is absent or empty.
+        The bigram key's list, or the unigram key's when that is absent or empty.
         """
-        if width < 0:
-            raise ValueError("width must be >= 0")
-        entries: Entries | None = None
-        if self.use_bigram and prev is not None:
-            entries = self.bigram.get((prev, cur))
-        if not entries:
-            entries = self.unigram.get(cur, [])
-        return entries[:width]
+        return self.bigram.get((prev, cur)) or self.unigram.get(cur, [])
 
     def chain(self, prev: int | None, cur: int, length: int) -> list[int]:
         """Top-1 successor walk of up to ``length`` tokens; ends at a context with none."""
@@ -94,24 +89,9 @@ class AdjacencyTable:
             raise ValueError("length must be >= 0")
         tokens: list[int] = []
         while len(tokens) < length:
-            entries = self.successors(prev, cur, 1)
+            entries = self.successors(prev, cur)
             if not entries:
                 break
             prev, cur = cur, entries[0][0]
             tokens.append(cur)
         return tokens
-
-
-def confidence_width(score: float, sibling_scores: Sequence[float], base_allocation: int) -> int:
-    """Children allowance for a successor, scaled by score vs. best sibling.
-
-    ``round(base_allocation * score / max(sibling_scores))`` with half-up
-    rounding. The scores come from ``successors``, so they already clear the
-    table's threshold.
-    """
-    if base_allocation < 0:
-        raise ValueError("base_allocation must be >= 0")
-    best = max(sibling_scores) if sibling_scores else score
-    if best <= 0:
-        return 0
-    return int(base_allocation * score / best + 0.5)

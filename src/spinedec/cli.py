@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     ty.add_argument("--ps", type=float, required=True)
     ty.add_argument("--pt", type=float, required=True)
     ty.add_argument("--m", type=int, required=True)
-    ty.add_argument("--widths", "--w", dest="widths", default="")
+    ty.add_argument("--widths", "--w", dest="widths", required=True)
     ty.add_argument("--depth", "--D", dest="depth", type=int, default=6)
     ty.add_argument("--budget", "--B", dest="budget", type=int, default=60)
     ty.add_argument("--trials", type=int, default=0)

@@ -30,8 +30,8 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .adjacency import AdjacencyTable
-from .context import ContextIndex, MatchResult
+from .adjacency import DEFAULT_TOP_K, MIN_SCORE, AdjacencyTable
+from .context import DEFAULT_NGRAM_LENGTHS, MAX_CHAIN, ContextIndex, MatchResult
 from .models import Spec, TargetModel, TokenSequence
 from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import WalkResult, linear_verify, unified_greedy_walk
@@ -53,12 +53,12 @@ class EngineConfig(Spec):
     ``tree_budgets`` maps each tier's spine ratio to its ``TreeBudget``.
     """
 
-    ngram_lengths: tuple[int, ...] = (3, 4, 5)
-    max_spine_continuation: int = 20
-    transition_top_k: int = 10
+    ngram_lengths: tuple[int, ...] = DEFAULT_NGRAM_LENGTHS
+    max_spine_continuation: int = MAX_CHAIN
+    transition_top_k: int = DEFAULT_TOP_K
     node_budget: int = 60
     max_tree_depth: int = 6
-    min_score_threshold: float = 0.01
+    min_score_threshold: float = MIN_SCORE
     spine_branch_ratio: float = 0.5
     ema_smoothing: float = 0.3
     ema_init: float = 0.3
@@ -310,7 +310,7 @@ def _plan(run: _Run, config: EngineConfig, tree_kind: str | None, fanout: int) -
         if long or match.consensus:
             return CyclePlan("bypass:long" if long else "bypass:consensus", draft, source)
     # Checked before building, so a cycle with no source builds no tree.
-    if tree_kind is None or not (match.chain or run.table.successors(prev, anchor, 1)):
+    if tree_kind is None or not (match.chain or run.table.successors(prev, anchor)):
         return CyclePlan("fallback:no-source")
     if tree_kind == "iso":
         tree = build_iso_tree(anchor, fanout, config.node_budget, match.chain, run.table, prev_token=prev)

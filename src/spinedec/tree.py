@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .adjacency import AdjacencyTable, confidence_width
+from .adjacency import AdjacencyTable
 from .models import ModelQuery
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "SpineTree",
     "build_spine_tree",
     "build_iso_tree",
+    "confidence_width",
     "iso_levels",
     "linear_allocation",
     "tree_query",
@@ -140,11 +141,26 @@ class _Builder:
         self.child_tokens[parent].add(token)
         return len(self.nodes) - 1
 
-    def successors(self, table: AdjacencyTable, index: int, width: int) -> list[tuple[int, float]]:
+    def successors(self, table: AdjacencyTable, index: int) -> list[tuple[int, float]]:
         """Table successors of a node, keyed by its parent's token and its own."""
         node = self.nodes[index]
         prev = self.prev_token if node.parent == ROOT else self.nodes[node.parent].token
-        return table.successors(prev, node.token, width)
+        return table.successors(prev, node.token)
+
+
+def confidence_width(score: float, sibling_scores: Sequence[float], base_allocation: int) -> int:
+    """Children allowance for a successor, scaled by score vs. best sibling.
+
+    ``round(base_allocation * score / max(sibling_scores))`` with half-up
+    rounding. The scores come from the table, so they already clear its
+    threshold.
+    """
+    if base_allocation < 0:
+        raise ValueError("base_allocation must be >= 0")
+    best = max(sibling_scores) if sibling_scores else score
+    if best <= 0:
+        return 0
+    return int(base_allocation * score / best + 0.5)
 
 
 def build_spine_tree(
@@ -178,9 +194,8 @@ def build_spine_tree(
     branch_roots: list[tuple[float, int, int]] = []
 
     def attach_branches(parent_index: int, count: int) -> None:
-        entries = b.successors(table, parent_index, count + len(b.child_tokens[parent_index]))
         taken: list[tuple[int, float]] = []
-        for token, score in entries:
+        for token, score in b.successors(table, parent_index):
             if len(taken) >= count:
                 break
             index = b.attach(parent_index, token, Source.TRANSITION)
@@ -234,7 +249,7 @@ def build_iso_tree(
         next_frontier: list[int] = []
         for node_index in frontier:
             # The root and the matched chain's path are the only context nodes.
-            pool = [(t, Source.TRANSITION) for t, _s in b.successors(table, node_index, fanout)]
+            pool = [(t, Source.TRANSITION) for t, _s in b.successors(table, node_index)]
             if b.nodes[node_index].source is Source.CONTEXT and depth <= len(chain):
                 pool.insert(0, (chain[depth - 1], Source.CONTEXT))
             for token, source in pool:

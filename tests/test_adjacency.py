@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spinedec.adjacency import AdjacencyTable, confidence_width
+from spinedec.adjacency import AdjacencyTable
 
 
 def test_single_harvest_lands_in_both_tiers_sorted():
@@ -30,26 +30,27 @@ def test_one_token_context_feeds_unigram_only():
 
 
 def test_successors_prefers_bigram_and_truncates():
-    table = AdjacencyTable()
+    # The whole stored list comes back, already cut to top_k.
+    table = AdjacencyTable(top_k=3)
     table.harvest([(3, 4, [(i, 0.5 - 0.05 * i) for i in range(5)])])
     table.harvest([(None, 4, [(9, 0.9)])])
-    assert table.successors(3, 4, 3) == [(0, 0.5), (1, 0.45), (2, 0.4)]
+    assert table.successors(3, 4) == [(0, 0.5), (1, 0.45), (2, 0.4)]
     # Unigram fallback when the bigram key is missing.
-    assert table.successors(8, 4, 3)[0][0] == 9
+    assert table.successors(8, 4) == [(9, 0.9), (0, 0.5), (1, 0.45)]
+    assert table.successors(None, 4) == table.unigram[4]
 
 
-def test_successors_width_zero_and_empty_table():
-    table = AdjacencyTable()
-    assert table.successors(1, 2, 4) == []
-    table.harvest([(1, 2, [(5, 0.5)])])
-    assert table.successors(1, 2, 0) == []
+def test_successors_of_an_empty_table():
+    assert AdjacencyTable().successors(1, 2) == []
+    assert AdjacencyTable().successors(None, 2) == []
 
 
 def test_successors_bigram_disabled_uses_unigram():
     table = AdjacencyTable(use_bigram=False)
     table.harvest([(1, 2, [(5, 0.5)])])
+    assert not table.bigram
     table.unigram[2] = [(8, 0.4)]
-    assert table.successors(1, 2, 2) == [(8, 0.4)]
+    assert table.successors(1, 2) == [(8, 0.4)]
 
 
 def test_entries_below_threshold_are_dropped():
@@ -135,28 +136,4 @@ def test_chain_of_length_zero_is_empty():
     assert AdjacencyTable().chain(None, 2, 4) == []
     with pytest.raises(ValueError):
         chain_table().chain(1, 2, -1)
-
-
-def test_confidence_width_ratio_one_returns_base_allocation():
-    assert confidence_width(0.4, [0.4, 0.1], 5) == 5
-
-
-def test_confidence_width_reads_only_the_sibling_ratio():
-    # The table's threshold is the only one: a low score that the table kept
-    # gets the allowance its ratio to the best sibling earns.
-    assert confidence_width(0.005, [0.01, 0.005], 4) == 2
-
-
-def test_confidence_width_scales_with_sibling_ratio():
-    siblings = [0.5, 0.25]
-    assert [confidence_width(s, siblings, 4) for s in siblings] == [4, 2]
-
-
-def test_confidence_width_rounds_half_up():
-    assert confidence_width(0.25, [0.4], 4) == 3  # 4 * 0.625 = 2.5
-
-
-def test_confidence_width_rejects_negative_allocation():
-    with pytest.raises(ValueError):
-        confidence_width(0.5, [0.5], -1)
 

@@ -197,6 +197,7 @@ def test_bad_config_exits_before_decoding(
         pytest.param(["ablate", "--corpus", "{corpus}", "--jobs", "-4"], id="ablate-jobs"),
         pytest.param(["theory", "verify-bound", "--corpus", "{corpus}", "--jobs", "x"], id="bound-jobs"),
         pytest.param(["theory", "yield", "--ps", "0.3"], id="missing-pt-m"),
+        pytest.param(["theory", "yield", "--ps", "0.3", "--pt", "0.1", "--m", "3"], id="missing-widths"),
         pytest.param(["frobnicate"], id="command"),
     ],
 )

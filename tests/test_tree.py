@@ -18,6 +18,7 @@ from spinedec.tree import (
     TreeBudget,
     build_iso_tree,
     build_spine_tree,
+    confidence_width,
     iso_levels,
     linear_allocation,
     tree_query,
@@ -123,6 +124,30 @@ def test_table_threshold_is_the_only_score_threshold():
     assert [tree.nodes[i].token for i in tree.children[by_token[6]]] == [7]
 
 
+def test_confidence_width_ratio_one_returns_base_allocation():
+    assert confidence_width(0.4, [0.4, 0.1], 5) == 5
+
+
+def test_confidence_width_reads_only_the_sibling_ratio():
+    # The table's threshold is the only one: a low score that the table kept
+    # gets the allowance its ratio to the best sibling earns.
+    assert confidence_width(0.005, [0.01, 0.005], 4) == 2
+
+
+def test_confidence_width_scales_with_sibling_ratio():
+    siblings = [0.5, 0.25]
+    assert [confidence_width(s, siblings, 4) for s in siblings] == [4, 2]
+
+
+def test_confidence_width_rounds_half_up():
+    assert confidence_width(0.25, [0.4], 4) == 3  # 4 * 0.625 = 2.5
+
+
+def test_confidence_width_rejects_negative_allocation():
+    with pytest.raises(ValueError):
+        confidence_width(0.5, [0.5], -1)
+
+
 def test_spine_is_capped_by_ratio():
     chain = tuple(range(1, 21))
     budget = TreeBudget(budget=60, spine_ratio=0.15)
@@ -195,8 +220,8 @@ def test_budget_and_structure_invariants_fuzz(seed, budget, ratio, chain_len, sp
         node, kids = tree.nodes[i], tree.children[i]
         assert node.source is Source.TRANSITION and len(kids) <= 1
         if kids:
-            top = table.successors(tree.nodes[node.parent].token, node.token, 1)
-            assert [tree.nodes[kids[0]].token] == [t for t, _s in top]
+            top = table.successors(tree.nodes[node.parent].token, node.token)
+            assert [tree.nodes[kids[0]].token] == [t for t, _s in top[:1]]
     # An iso tree's context nodes are one root path spelling the matched chain's prefix.
     fanout = 1 + seed % 5
     iso = build_iso_tree(anchor, fanout, budget, chain, table, prev)
