@@ -15,7 +15,11 @@ in for a real LLM at desk scale:
 
 Both are bit-identical across runs and platforms for the same spec. Models
 are immutable after construction up to memo caches of values they would
-re-derive identically, so queries are side-effect free.
+re-derive identically, and one resume slot: the base prefix ``score_tree``
+last folded and its state, like the KV cache of an accepted prefix. So every
+query answers as a fresh model would. ``greedy_next`` and ``ar_decode`` never
+read the slot: the oracle folds each base from scratch and shares no cache
+with the engines it checks.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _FNV_PRIME = 0x100000001B3
+_EMPTY_PATH = (0xCBF29CE484222325, -1, -1)  # (path_hash, prev, cur) before any token
 
 
 # Fixed descending score shape for template-repeater candidate lists; the tail
@@ -214,7 +219,9 @@ class _SyntheticModel:
     """Shared scoring machinery; subclasses define the per-path prediction.
 
     Internal state is a ``(path_hash, prev, cur)`` triple advanced one token
-    at a time, so scoring a query costs O(len(base) + len(nodes)).
+    at a time. ``score_tree`` resumes from its last folded prefix, so a query
+    whose base extends the last one costs O(new base tokens + scored positions
+    + nodes); any other base is folded from its start.
     """
 
     def __init__(self, seed: int, vocab_size: int):
@@ -225,6 +232,8 @@ class _SyntheticModel:
         self.eos_token = vocab_size - 1
         self.top_k = min(_TOP_K, vocab_size - 1)
         self._seed_mix = _mix64((seed & _MASK64) ^ 0x6A09E667F3BCC909)
+        # The resume slot: the base prefix ``score_tree`` last folded, and its state.
+        self._resume: tuple[tuple[int, ...], tuple[int, int, int]] = ((), _EMPTY_PATH)
 
     # -- state plumbing ----------------------------------------------------
 
@@ -238,8 +247,7 @@ class _SyntheticModel:
         if not (0 <= token < self.vocab_size):
             raise ValueError(f"token {token} out of vocabulary [0, {self.vocab_size})")
 
-    def _fold(self, tokens: Sequence[int]) -> tuple[int, int, int]:
-        state = (0xCBF29CE484222325, -1, -1)
+    def _fold(self, tokens: Sequence[int], state: tuple[int, int, int] = _EMPTY_PATH) -> tuple[int, int, int]:
         for t in tokens:
             self._check_token(t)
             state = self._advance(state, t)
@@ -253,13 +261,17 @@ class _SyntheticModel:
             raise ValueError("query base must be non-empty")
         if not (0 <= query.scored_from <= len(base)):
             raise ValueError(f"scored_from {query.scored_from} out of range")
-        state = (0xCBF29CE484222325, -1, -1)
+        head = base[: query.scored_from]
+        prefix, state = self._resume
+        if head[: len(prefix)] == prefix:
+            state = self._fold(head[len(prefix):], state)
+        else:
+            state = self._fold(head)
+        self._resume = (head, state)
         base_preds: list[Prediction] = []
-        for i, t in enumerate(base):
-            self._check_token(t)
-            state = self._advance(state, t)
-            if i >= query.scored_from:
-                base_preds.append(self._predict(state))
+        for t in base[query.scored_from:]:
+            state = self._fold((t,), state)
+            base_preds.append(self._predict(state))
         node_states: list[tuple[int, int, int]] = []
         node_preds: list[Prediction] = []
         for j, (token, parent) in enumerate(query.nodes):

@@ -15,7 +15,7 @@ script exit 1. ``--list`` only enumerates the mutants and checks that every
 ``EQUIVALENT`` entry still names one, so it runs in about a second.
 
     python tests/mutants.py --list
-    python tests/mutants.py                # every mutant, about 11 minutes on 2 cores
+    python tests/mutants.py                # every mutant, about 15 minutes on 2 cores
 
 pytest does not collect this file (its name does not start with ``test_``).
 """
@@ -54,6 +54,7 @@ TARGETS = {
         "tree_query",
         "SpineTree.__post_init__",
     ),
+    "models.py": ("_SyntheticModel.score_tree", "_SyntheticModel._fold", "_SyntheticModel.greedy_next", "ar_decode"),
 }
 
 # The test files of the target modules, plus the golden digests.
@@ -63,6 +64,7 @@ FAST = (
     "tests/test_context.py",
     "tests/test_adjacency.py",
     "tests/test_tree.py",
+    "tests/test_models.py",
     "tests/test_golden.py",
 )
 FULL = ("--continue-on-collection-errors",)

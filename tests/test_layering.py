@@ -9,7 +9,11 @@ module, so only the source shows which modules one module depends on:
   imports no other ``spinedec`` module, and ``tree`` and ``verify`` import
   neither the engine nor the benchmark layer;
 - the engine never names ``ar_decode``: every engine, ``ar`` included, is
-  checked against that oracle, so none may be built on it.
+  checked against that oracle, so none may be built on it;
+- the oracle never names the model's resume slot: ``score_tree`` resumes
+  from the prefix it last folded, while ``greedy_next``, ``_fold`` and
+  ``ar_decode`` fold every base from scratch, so a bug in the slot cannot
+  pass the check that the engine's output equals the oracle's.
 """
 
 from __future__ import annotations
@@ -58,11 +62,27 @@ def test_draft_layers_import_neither_engine_nor_bench(module):
     assert not _spinedec_imports(module) & {"engine", "bench"}
 
 
-def test_engine_does_not_name_the_oracle():
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute, import and definition inside ``tree``."""
     names = set()
-    for node in ast.walk(_tree("engine")):
-        for attr in ("id", "attr", "name"):  # names, attributes, imports, definitions
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "name"):
             if isinstance(getattr(node, attr, None), str):
                 names.add(getattr(node, attr))
+    return names
+
+
+def test_engine_does_not_name_the_oracle():
+    names = _names(_tree("engine"))
     assert "decode" in names  # the scan sees the engine's own definitions
     assert "ar_decode" not in names
+
+
+def test_the_oracle_does_not_name_the_resume_slot():
+    functions = [node for node in ast.walk(_tree("models")) if isinstance(node, ast.FunctionDef)]
+    oracle = [f for f in functions if f.name in {"greedy_next", "_fold", "ar_decode"}]
+    assert {f.name for f in oracle} == {"greedy_next", "_fold", "ar_decode"}
+    # The scan sees the slot where it is used.
+    assert any("_resume" in _names(f) for f in functions if f.name == "score_tree")
+    for function in oracle:
+        assert "_resume" not in _names(function), function.name

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ScriptedModel, engine_configs, model_specs, unit_floats
-from spinedec.bench import CorpusSpec
+from spinedec.bench import CorpusSpec, prompts_for
+from spinedec.engine import EngineConfig, decode
 from spinedec.models import (
     MODEL_KINDS,
     MarkovModel,
@@ -230,3 +231,89 @@ def test_template_determinism_property(seed, rep, prompt):
     second = ar_decode(build_synthetic(spec), tuple(prompt), 24).tokens
     assert first == second
     assert all(0 <= t < VOCAB for t in first)
+
+
+_BAD_TOKENS = st.sampled_from((-1, VOCAB, VOCAB + 5))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(MODEL_KINDS), seed=st.integers(0, 2**16), data=st.data())
+def test_any_query_order_answers_as_a_fresh_model(kind, seed, data):
+    # One instance keeps its resume slot across queries whose bases extend,
+    # shrink or replace the last one; a fresh instance has none.
+    spec = SyntheticModelSpec(kind, seed, VOCAB, 0.5)
+    model = build_synthetic(spec)
+    tokens = st.integers(0, VOCAB - 2)
+    last: tuple[int, ...] = ()
+    for _ in range(data.draw(st.integers(1, 8), label="queries")):
+        step = data.draw(st.sampled_from(("extend", "shrink", "replace")))
+        kept = data.draw(st.integers(0, len(last))) if step == "shrink" else len(last) if step == "extend" else 0
+        new = data.draw(st.lists(tokens, min_size=0 if kept else 1, max_size=12))
+        fault = data.draw(st.sampled_from((None, None, None, "token", "parent", "scored_from")))
+        if fault == "token":  # in the new suffix, which no earlier query folded
+            new.insert(data.draw(st.integers(0, len(new))), data.draw(_BAD_TOKENS))
+        base = last[:kept] + tuple(new)
+        scored_from = data.draw(st.sampled_from((0, len(base))) | st.integers(0, len(base)))
+        if fault == "scored_from":
+            scored_from = data.draw(st.sampled_from((-1, len(base) + 1)))
+        size = data.draw(st.integers(0, 5))
+        nodes = [(data.draw(tokens), data.draw(st.integers(-1, j - 1))) for j in range(size)]
+        if fault == "parent":
+            j = len(nodes)
+            nodes.append((data.draw(tokens), data.draw(st.sampled_from((-2, j, j + 3)))))
+        query = ModelQuery(base=base, nodes=tuple(nodes), scored_from=scored_from)
+
+        def answer(m):
+            try:
+                return m.score_tree(query)
+            except ValueError as error:
+                return f"ValueError: {error}"
+
+        fresh = build_synthetic(spec)
+        want = answer(fresh)
+        assert answer(model) == want
+        assert isinstance(want, str) == (fault is not None)
+        if fault is None:
+            assert model.greedy_next(base) == fresh.greedy_next(base)
+            last = base
+
+
+def _count_base_advances(model) -> list[int]:
+    """Patch ``model`` to record, per later call, the base tokens it advances its state over."""
+    counts: list[int] = []
+    advance, score_tree, greedy_next = model._advance, model.score_tree, model.greedy_next
+
+    def counting_advance(state, token):
+        counts[-1] += 1
+        return advance(state, token)
+
+    def counting_score_tree(query):
+        counts.append(-len(query.nodes))  # each extra node is advanced over once
+        return score_tree(query)
+
+    def counting_greedy_next(base):
+        counts.append(0)
+        return greedy_next(base)
+
+    model._advance = counting_advance
+    model.score_tree, model.greedy_next = counting_score_tree, counting_greedy_next
+    return counts
+
+
+@pytest.mark.parametrize("max_tokens", [512, 4096])
+def test_scoring_folds_each_base_token_about_once_and_the_oracle_folds_every_base(max_tokens):
+    spec = CorpusSpec(name="folds", model=SyntheticModelSpec("template-repeater", 1, 64, 0.9),
+                      prompts=1, prompt_len=32, max_tokens=max_tokens)
+    prompt = prompts_for(spec)[0]
+    model = build_synthetic(spec.model)
+    counts = _count_base_advances(model)
+    sequence, stats = decode("spine", model, prompt, max_tokens, EngineConfig())
+    assert len(sequence) == max_tokens and len(counts) == stats.model_calls
+    # Linear in the tokens: the prompt is folded once as history and once as
+    # scored positions, each accepted token once, plus one scored root per call.
+    assert sum(counts) <= 2 * len(prompt) + max_tokens + stats.model_calls
+    history = prompt + sequence.tokens
+    counts.clear()
+    for base in (history, history[:-1], history):
+        model.greedy_next(base)
+    assert counts == [len(history), len(history) - 1, len(history)]
