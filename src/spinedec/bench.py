@@ -252,26 +252,18 @@ def ablation_table(
 ) -> list[dict]:
     """Full engine plus one row per single-flag ablation, with relative deltas."""
     config = config or EngineConfig()
-    full = run_corpus(spec, "spine", config, jobs=jobs)
-    rows = [
+    runs = [("full", config)] + [(flag, replace(config, **{flag: True})) for flag in ABLATION_FLAGS]
+    reports = {label: run_corpus(spec, "spine", variant, jobs=jobs) for label, variant in runs}
+    full = reports["full"].mean_tau
+    return [
         {
-            "label": "full",
-            "mean_tau": full.mean_tau,
-            "median_tau": full.median_tau,
-            "delta_rel": 0.0,
+            "label": label,
+            "mean_tau": report.mean_tau,
+            "median_tau": report.median_tau,
+            "delta_rel": (report.mean_tau - full) / full,
         }
+        for label, report in reports.items()
     ]
-    for flag in ABLATION_FLAGS:
-        report = run_corpus(spec, "spine", replace(config, **{flag: True}), jobs=jobs)
-        rows.append(
-            {
-                "label": flag,
-                "mean_tau": report.mean_tau,
-                "median_tau": report.median_tau,
-                "delta_rel": (report.mean_tau - full.mean_tau) / full.mean_tau,
-            }
-        )
-    return rows
 
 
 @dataclass(frozen=True)

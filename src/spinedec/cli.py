@@ -36,7 +36,7 @@ from .theory import (
     spine_yield,
     verify_bound,
 )
-from .tree import linear_allocation
+from .tree import MAX_DEPTH, NODE_BUDGET, linear_allocation
 
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit 1 like any other bad input; exit 2 means divergence."""
@@ -219,6 +219,9 @@ def _cmd_theory_verify_bound(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     config = _load_config(args.config)
     specs = [CorpusSpec.from_json(Path(path).read_text()) for path in args.corpus or []]
+    for spec in specs:
+        if spec.max_tokens < 1:
+            raise ValueError(f"--corpus {spec.name}: max_tokens must be >= 1 to measure a bound")
     raw = parse_json(Path(args.settings).read_text()) if args.settings else []
     if not isinstance(raw, list):
         raise ValueError(f"settings JSON must be a list of objects, got {raw!r}")
@@ -292,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     ty.add_argument("--pt", type=float, required=True)
     ty.add_argument("--m", type=int, required=True)
     ty.add_argument("--widths", "--w", dest="widths", required=True)
-    ty.add_argument("--depth", "--D", dest="depth", type=int, default=6)
-    ty.add_argument("--budget", "--B", dest="budget", type=int, default=60)
+    ty.add_argument("--depth", "--D", dest="depth", type=int, default=MAX_DEPTH)
+    ty.add_argument("--budget", "--B", dest="budget", type=int, default=NODE_BUDGET)
     ty.add_argument("--trials", type=int, default=0)
     ty.add_argument("--seed", type=int, default=0)
     ty.add_argument("--out")
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     td = tsub.add_parser("dominance", help="best-spine vs best-isotropic scan")
     td.add_argument("--grid", default="default", help='"default" or "ps,pt,B;ps,pt,B;..."')
-    td.add_argument("--depth", type=int, default=6)
+    td.add_argument("--depth", type=int, default=MAX_DEPTH)
     td.add_argument("--out")
     td.set_defaults(func=_cmd_theory_dominance)
 

@@ -33,7 +33,7 @@ from typing import Sequence
 from .adjacency import DEFAULT_TOP_K, MIN_SCORE, AdjacencyTable
 from .context import DEFAULT_NGRAM_LENGTHS, MAX_CHAIN, ContextIndex, MatchResult
 from .models import Spec, TargetModel, TokenSequence
-from .tree import Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
+from .tree import MAX_DEPTH, NODE_BUDGET, Source, SpineTree, TreeBudget, build_iso_tree, build_spine_tree
 from .verify import WalkResult, linear_verify, unified_greedy_walk
 
 __all__ = [
@@ -56,8 +56,8 @@ class EngineConfig(Spec):
     ngram_lengths: tuple[int, ...] = DEFAULT_NGRAM_LENGTHS
     max_spine_continuation: int = MAX_CHAIN
     transition_top_k: int = DEFAULT_TOP_K
-    node_budget: int = 60
-    max_tree_depth: int = 6
+    node_budget: int = NODE_BUDGET
+    max_tree_depth: int = MAX_DEPTH
     min_score_threshold: float = MIN_SCORE
     spine_branch_ratio: float = 0.5
     ema_smoothing: float = 0.3

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .models import Spec
-from .tree import ROOT, DraftNode, Source, SpineTree, iso_levels, linear_allocation
+from .tree import MAX_DEPTH, NODE_BUDGET, ROOT, DraftNode, Source, SpineTree, iso_levels, linear_allocation
 
 __all__ = [
     "AcceptanceModel",
@@ -72,8 +72,8 @@ class TreeShape:
 
     m: int
     widths: tuple[int, ...]
-    depth: int = 6
-    budget: int = 60
+    depth: int = MAX_DEPTH
+    budget: int = NODE_BUDGET
 
     def __post_init__(self):
         if self.m < 0:
@@ -243,7 +243,7 @@ def best_iso_yield(budget: int, p_t: float) -> tuple[float, int]:
 
 
 def best_spine_yield(
-    p_s: float, p_t: float, budget: int, depth: int = 6
+    p_s: float, p_t: float, budget: int, depth: int = MAX_DEPTH
 ) -> tuple[float, int, tuple[int, ...]]:
     """Best spine-tree analytic yield over spine lengths 1..budget.
 
@@ -281,7 +281,7 @@ class DominanceRow:
 
 
 def dominance_scan(
-    points: Iterable[tuple[float, float, int]], depth: int = 6
+    points: Iterable[tuple[float, float, int]], depth: int = MAX_DEPTH
 ) -> list[DominanceRow]:
     """Best-spine vs best-isotropic yield over a (p_s, p_t, budget) grid."""
     rows = []
@@ -314,7 +314,7 @@ class BoundSetting(Spec):
     p_t: float
     m: int
     budget: int
-    depth: int = 6
+    depth: int = MAX_DEPTH
     tau_meas: float | None = None
     stderr: float | None = None
 
@@ -322,8 +322,8 @@ class BoundSetting(Spec):
         super().__post_init__()
         AcceptanceModel(p_s=self.p_s, p_t=self.p_t)
         finite = all(0 <= v < math.inf for v in (self.tau_meas, self.stderr) if v is not None)
-        if self.m < 0 or self.budget < 1 or self.depth < 1 or not finite:
-            raise ValueError(f"need m >= 0, budget, depth >= 1, measurements in [0, inf): {self}")
+        if not 0 <= self.m <= self.budget or self.budget < 1 or self.depth < 1 or not finite:
+            raise ValueError(f"need 0 <= m <= budget, budget, depth >= 1, measurements in [0, inf): {self}")
 
 
 @dataclass(frozen=True)
@@ -353,7 +353,7 @@ class BoundReport:
 def _bound_widths(setting: BoundSetting) -> tuple[int, ...]:
     if setting.m == 0:
         return ()
-    branch_budget = max(setting.budget - setting.m, 0)
+    branch_budget = setting.budget - setting.m
     # Measured logs can leave the 0 < p_t <= p_s < 1 regime. Spread evenly
     # there: the bound holds for any widths, only optimality needs the regime.
     if not 0.0 < setting.p_t <= setting.p_s < 1.0:
@@ -373,7 +373,7 @@ def verify_bound(
     Settings without a measured yield are simulated on the canonical spine
     tree with the optimal linear allocation. Reports the heterogeneity
     correlation of the analytic gain (tau_eq / tau_iso) against p_s / p_t over
-    settings where both are finite.
+    settings with ``p_t > 0``; the gain is always finite, as ``tau_iso >= 1``.
     """
     if seed < 0:
         raise ValueError("seed must be >= 0")
@@ -381,8 +381,7 @@ def verify_bound(
     for i, setting in enumerate(settings):
         widths = _bound_widths(setting)
         model = AcceptanceModel(p_s=setting.p_s, p_t=setting.p_t)
-        shape = TreeShape(m=setting.m, widths=widths, depth=setting.depth,
-                          budget=max(setting.budget, setting.m + sum(widths)))
+        shape = TreeShape(m=setting.m, widths=widths, depth=setting.depth, budget=setting.budget)
         report = spine_yield(model, shape)
         tau_meas, stderr = setting.tau_meas, setting.stderr
         if tau_meas is None:
@@ -400,7 +399,7 @@ def verify_bound(
         )
     gains, ratios = [], []
     for row in rows:
-        if row.setting.p_t > 0.0 and math.isfinite(row.ratio):
+        if row.setting.p_t > 0.0:
             gains.append(row.ratio)
             ratios.append(row.setting.p_s / row.setting.p_t)
     pearson = None

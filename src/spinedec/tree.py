@@ -32,9 +32,13 @@ __all__ = [
     "iso_levels",
     "linear_allocation",
     "tree_query",
+    "NODE_BUDGET",
+    "MAX_DEPTH",
 ]
 
 ROOT = -1
+NODE_BUDGET = 60  # B, the node budget of one draft tree
+MAX_DEPTH = 6  # D, the depth a branch chain reaches below its branching point
 
 
 class Source(enum.Enum):
@@ -61,10 +65,10 @@ class TreeBudget:
     binds in one place: step 4's cap on each branch extension.
     """
 
-    budget: int = 60
+    budget: int = NODE_BUDGET
     spine_ratio: float = 0.5
     spine_branch_ratio: float = 0.5
-    max_depth: int = 6
+    max_depth: int = MAX_DEPTH
 
     def __post_init__(self):
         if self.budget < 1:

@@ -294,6 +294,7 @@ def _setting(**edits) -> list[dict]:
         pytest.param(_setting(p_t=1.5), id="p_t-above-one"),
         pytest.param(_setting(m=2.0), id="m-float"),
         pytest.param(_setting(m=-1), id="m-negative"),
+        pytest.param(_setting(m=31), id="m-above-budget"),
         pytest.param(_setting(budget=0), id="budget-zero"),
         pytest.param(_setting(depth=0), id="depth-zero"),
         pytest.param(_setting(setting_id=7), id="setting_id-int"),
@@ -313,6 +314,19 @@ def test_bad_bound_settings_exit_before_decoding(
     args = ["theory", "verify-bound", "--corpus", str(corpus_file), "--settings", str(path)]
     assert main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_zero_token_corpus_exits_before_bound_decoding(
+    corpus_file: Path, tmp_path: Path, capsys: pytest.CaptureFixture, no_decoding
+):
+    raw = json.loads(corpus_file.read_text())
+    raw["max_tokens"] = 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(raw))
+    out = tmp_path / "bound.csv"
+    assert main(["theory", "verify-bound", "--corpus", str(empty), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: --corpus cli-smoke: max_tokens must be >= 1")
     assert not out.exists()
 
 

@@ -322,7 +322,7 @@ def test_best_spine_uses_full_budget():
     "edit",
     [
         {"p_s": "0.5"}, {"p_t": 1.5}, {"m": 2.0}, {"m": -1}, {"budget": 0}, {"depth": 0},
-        {"tau_meas": math.nan}, {"tau_meas": "2"}, {"stderr": -1.0}, {"stderr": math.inf},
+        {"tau_meas": math.nan}, {"tau_meas": "2"}, {"stderr": -1.0}, {"stderr": math.inf}, {"m": 31},
     ],
 )
 def test_bound_setting_rejects_bad_fields(edit):
@@ -333,6 +333,12 @@ def test_bound_setting_rejects_bad_fields(edit):
 def test_bound_setting_stores_integer_rates_and_measurements_as_floats():
     setting = BoundSetting("s", p_s=1, p_t=0, m=3, budget=30, tau_meas=2, stderr=0)
     assert [type(v) for v in (setting.p_s, setting.p_t, setting.tau_meas, setting.stderr)] == [float] * 4
+
+
+def test_a_spine_that_fills_its_budget_has_no_branches():
+    report = verify_bound([BoundSetting("full", p_s=0.5, p_t=0.1, m=30, budget=30)], trials=20_000, seed=14)
+    assert report.violations == 0
+    assert report.rows[0].tau_eq == pytest.approx(1.0 + sum(0.5**i for i in range(1, 31)))
 
 
 def test_verify_bound_on_synthetic_settings():
